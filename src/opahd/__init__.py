@@ -7,12 +7,12 @@ from .gaussian import (ChainModel, ChannelSpec, GaussianState, apply_loss,
                        paper_default_chain, phase, post_amplifier_loss, psa,
                        pump_curve, relative_quadrature_power,
                        source_chain_for_levels, squeeze, vacuum)
-from .signal_chain import (AcquisitionConfig, FrequencyResponse, TraceRecord,
-                           extract_wavepacket, model_variance, psd_model,
-                           synthesize_frame, synthesize_frames)
+from .signal_chain import (AcquisitionConfig, Ensemble, FrequencyResponse,
+                           TraceRecord, extract_wavepacket, model_variance,
+                           psd_model, synthesize_frame, synthesize_frames)
 from .analysis import (SpectrumEstimate, SqueezeFitResult, averaged_fft,
-                       fit_pump_curve, histogram, loss_sweep, relative_level,
-                       variance_level)
+                       fit_pump_curve, frame_variances, histogram, loss_sweep,
+                       relative_level, variance_level)
 from .wdm import BandPlan, plan_bands
 from .config import ExperimentConfig
 

@@ -9,12 +9,18 @@ import numpy as np
 
 from .fitting import FitConvergenceError, levenberg_marquardt
 from .gaussian import ChainModel, ChannelSpec, relative_quadrature_power
-from .signal_chain import (AcquisitionConfig, FrequencyResponse, TraceRecord,
+from .signal_chain import (AcquisitionConfig, Ensemble, FrequencyResponse,
                            synthesize_frames)
 
 # Oscilloscope artifact region excluded from plateau statistics by default.
 DEFAULT_MASK_CENTER_HZ = 34e9
 DEFAULT_MASK_WIDTH_HZ = 1e9
+# Frames per chunk of averaged_fft. It bounds the temporaries and fixes the
+# order of the power sums, hence spectrum.csv's bytes.
+FFT_CHUNK_FRAMES = 256
+# Bytes of samples per chunk of frame_variances, small enough that its
+# temporaries stay in cache. Per-frame results do not depend on it.
+VARIANCE_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -38,14 +44,12 @@ class SpectrumEstimate:
         return 10.0 * np.log10(self.power)
 
 
-def averaged_fft(frames: list[TraceRecord], window: str = "rectangular") -> SpectrumEstimate:
+def averaged_fft(frames: Ensemble, window: str = "rectangular") -> SpectrumEstimate:
     """Power-averaged per-frame periodogram (one-sided, PSD units)."""
-    if not frames:
+    if len(frames) == 0:
         raise ValueError("need at least one frame")
-    n = len(frames[0].samples)
-    if any(len(fr.samples) != n for fr in frames):
-        raise ValueError("all frames must have equal length")
-    fs = frames[0].config.sample_rate
+    n = frames.config.samples_per_frame
+    fs = frames.config.sample_rate
     if window == "rectangular":
         win = np.ones(n)
     elif window == "hann":
@@ -53,12 +57,12 @@ def averaged_fft(frames: list[TraceRecord], window: str = "rectangular") -> Spec
     else:
         raise ValueError(f"unknown window {window!r}")
     scale = 1.0 / (fs * np.sum(win ** 2))
-    # chunked so full-scale (8192-frame) ensembles stay within memory
     power_sum = np.zeros(n // 2 + 1)
-    chunk = 256
-    for i in range(0, len(frames), chunk):
-        data = np.stack([fr.samples for fr in frames[i:i + chunk]])
-        spec = np.fft.rfft(data * win, axis=1)
+    for i in range(0, len(frames), FFT_CHUNK_FRAMES):
+        data = frames.samples[i:i + FFT_CHUNK_FRAMES]
+        if window != "rectangular":     # rectangular: x * 1.0 == x, no copy
+            data = data * win
+        spec = np.fft.rfft(data, axis=1)
         power_sum += (np.abs(spec) ** 2).sum(axis=0)
     power = power_sum * (scale / len(frames))
     power[1:-1] *= 2.0  # fold negative frequencies, one-sided convention
@@ -85,7 +89,16 @@ def artifact_mask(freqs: np.ndarray, center_hz: float = DEFAULT_MASK_CENTER_HZ,
     return np.abs(f - center_hz) > width_hz / 2.0
 
 
-def variance_level(frames: list[TraceRecord], shot_frames: list[TraceRecord]) -> tuple[float, float]:
+def frame_variances(block: np.ndarray) -> np.ndarray:
+    """Per-frame sample variance of a frames × samples block."""
+    rows = max(1, VARIANCE_CHUNK_BYTES // (block.shape[1] * block.itemsize))
+    out = np.empty(len(block))
+    for i in range(0, len(block), rows):
+        out[i:i + rows] = block[i:i + rows].var(axis=1)
+    return out
+
+
+def variance_level(frames: Ensemble, shot_frames: Ensemble) -> tuple[float, float]:
     """Time-domain noise level of signal vs shot ensembles.
 
     Returns (level_db, err_db); the error is the standard error across
@@ -93,8 +106,8 @@ def variance_level(frames: list[TraceRecord], shot_frames: list[TraceRecord]) ->
     """
     if len(frames) < 2 or len(shot_frames) < 2:
         raise ValueError("need at least two frames per ensemble")
-    v_sig = np.array([np.var(fr.samples) for fr in frames])
-    v_shot = np.array([np.var(fr.samples) for fr in shot_frames])
+    v_sig = frame_variances(frames.samples)
+    v_shot = frame_variances(shot_frames.samples)
     m_sig, m_shot = v_sig.mean(), v_shot.mean()
     if m_sig <= 0 or m_shot <= 0:
         raise FloatingPointError("degenerate (zero-variance) ensemble")
@@ -105,12 +118,11 @@ def variance_level(frames: list[TraceRecord], shot_frames: list[TraceRecord]) ->
     return level_db, err_db
 
 
-def histogram(frames: list[TraceRecord], bins: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def histogram(frames: Ensemble, bins: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Pooled sample histogram across an ensemble of frames."""
     if bins < 2:
         raise ValueError("need at least two bins")
-    data = np.concatenate([fr.samples for fr in frames])
-    counts, edges = np.histogram(data, bins=bins)
+    counts, edges = np.histogram(frames.samples.ravel(), bins=bins)
     return edges, counts
 
 
@@ -151,6 +163,8 @@ def fit_pump_curve(points: list[tuple[float, float, int]],
     pump = np.array([p[0] for p in points], dtype=float)
     level = np.array([p[1] for p in points], dtype=float)
     sign = np.array([p[2] for p in points], dtype=float)
+    if not (np.all(np.isfinite(pump)) and np.all(np.isfinite(level))):
+        raise ValueError("pump powers and levels must be finite")
     if np.any(level <= 0):
         raise ValueError("levels must be positive (linear relative power)")
     if not np.all(np.isin(sign, (-1.0, 1.0))):

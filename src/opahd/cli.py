@@ -1,8 +1,12 @@
 """Command-line interface: simulate | analyze | fit | sweep-loss | plan-wdm.
 
-Global flags: --config PATH, --seed N, --out DIR, --threads N. Each flag
-can also be set through the environment as OPAHD_CONFIG, OPAHD_SEED,
-OPAHD_OUT, OPAHD_THREADS (command line wins).
+Global flags: --config PATH, --seed N, --out DIR. Each flag can also be set
+through the environment as OPAHD_CONFIG, OPAHD_SEED, OPAHD_OUT (command
+line wins).
+
+simulate synthesizes each ensemble as one frames × samples block and writes
+it to its trace file; analyze reads each trace file into one block and
+reduces it without copying. JSON outputs never contain NaN or infinity.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numeric failure, 4 I/O error.
 """
@@ -47,9 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master seed override")
     parser.add_argument("--out", default=_env_default("OUT", "."),
                         help="output directory")
-    parser.add_argument("--threads", type=int,
-                        default=int(_env_default("THREADS", "1")),
-                        help="worker threads for frame synthesis")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("simulate", help="synthesize signal and shot-noise trace files")
@@ -96,11 +97,10 @@ def cmd_simulate(args) -> int:
     for label, chain, seed in (
             ("signal", cfg.chain, cfg.seed),
             ("shot", cfg.chain.without_squeezing(), cfg.seed + 1)):
-        frames = synthesize_frames(chain, cfg.response, cfg.acquisition,
-                                   master_seed=seed, threads=args.threads)
+        frames = synthesize_frames(chain, cfg.response, cfg.acquisition, master_seed=seed)
         path = out / f"{label}.trace"
         traceio.write_traces(path, frames)
-        empirical = float(np.mean([np.var(fr.samples) for fr in frames]))
+        empirical = float(np.mean(ana.frame_variances(frames.samples)))
         results[label] = {
             "file": path.name,
             "frames": len(frames),
@@ -111,22 +111,21 @@ def cmd_simulate(args) -> int:
         }
     summary = {"schema_version": 1, "master_seed": cfg.seed,
                "config": cfg.to_dict(), "traces": results}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
     print(f"wrote {out / 'signal.trace'}, {out / 'shot.trace'}, {out / 'summary.json'}")
     return EXIT_OK
 
 
-def _records(path, cfg):
-    data, meta = traceio.read_traces(path)
-    return traceio.records_from_array(data, meta)
+def _records(path):
+    return traceio.records_from_array(*traceio.read_traces(path))
 
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    signal = _records(args.traces, cfg)
-    shot = _records(args.shot, cfg)
+    signal = _records(args.traces)
+    shot = _records(args.shot)
 
     spec_sig = ana.averaged_fft(signal, window=cfg.analysis.window)
     spec_shot = ana.averaged_fft(shot, window=cfg.analysis.window)
@@ -153,7 +152,7 @@ def cmd_analyze(args) -> int:
         "artifact_mask_center_hz": cfg.analysis.mask_center_ghz * 1e9,
         "artifact_mask_width_hz": cfg.analysis.mask_width_ghz * 1e9,
     }
-    (out / "levels.json").write_text(json.dumps(report, indent=2) + "\n")
+    (out / "levels.json").write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
 
     edges, counts = ana.histogram(signal, bins=cfg.analysis.histogram_bins)
     with open(out / "histogram.csv", "w", newline="") as fh:
@@ -201,7 +200,7 @@ def cmd_fit(args) -> int:
         "cost": result.cost,
         "iterations": result.n_iter,
     }
-    (out / "fit.json").write_text(json.dumps(report, indent=2) + "\n")
+    (out / "fit.json").write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
     floor = report["squeezing_floor_db"]
     floor_txt = f"{floor:.2f} dB floor" if floor is not None else "lossless"
     print(f"loss fraction L = {result.big_l:.4f} ({floor_txt}), "

@@ -118,9 +118,7 @@ class ExperimentConfig:
             raise ConfigError(f"invalid configuration: {err}") from err
 
     def dump(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        Path(path).write_text(json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":

@@ -7,13 +7,16 @@ Absolute volts are never calibrated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gaussian import ChainModel, relative_quadrature_power
 
 REFERENCE_PHOTOCURRENT_A = 3.0e-3
+# Size of the complex spectrum buffer synthesize_frames reuses for each chunk
+# of frames; its noise and irfft buffers are about as large.
+SYNTHESIS_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,30 @@ class TraceRecord:
             raise ValueError("trace length must equal samples_per_frame")
 
 
+@dataclass(frozen=True)
+class Ensemble:
+    """An ensemble of frames as one C-contiguous frames × samples_per_frame
+    float64 block plus acquisition metadata. ens[i] is a TraceRecord view of
+    frame i; per-frame seeds are not kept (seed -1)."""
+
+    samples: np.ndarray
+    config: AcquisitionConfig
+    theta: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "samples",
+                           np.ascontiguousarray(self.samples, dtype=np.float64))
+        if self.samples.ndim != 2 or self.samples.shape[1] != self.config.samples_per_frame:
+            raise ValueError("ensemble must be a frames × samples_per_frame block")
+
+    def __len__(self) -> int:
+        return self.samples.shape[0]
+
+    def __getitem__(self, i: int) -> TraceRecord:
+        return TraceRecord(samples=self.samples[i], config=self.config,
+                           theta=self.theta, seed=-1)
+
+
 def electrical_floor(resp: FrequencyResponse, acq: AcquisitionConfig) -> float:
     """Flat one-sided electrical noise floor, set so the shot noise at the
     reference photocurrent clears it by clearance_at_43ghz_db at 43 GHz."""
@@ -108,10 +135,15 @@ def psd_model(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig
     Returns (freqs, power) with freqs the rfft grid of one frame.
     """
     freqs = np.fft.rfftfreq(acq.samples_per_frame, acq.sample_interval)
+    return freqs, _one_sided_model(chain, resp, acq, theta, freqs)
+
+
+def _one_sided_model(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,
+                     theta: float | None, freqs: np.ndarray) -> np.ndarray:
+    """The one-sided model S(f) of psd_model on an arbitrary frequency grid."""
     v_rel = relative_quadrature_power(chain, theta)
     shot = (acq.photocurrent / REFERENCE_PHOTOCURRENT_A) * (2.0 / acq.sample_rate)
-    power = resp.magnitude_squared(freqs) * shot * v_rel + electrical_floor(resp, acq)
-    return freqs, power
+    return resp.magnitude_squared(freqs) * shot * v_rel + electrical_floor(resp, acq)
 
 
 def model_variance(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,
@@ -127,22 +159,29 @@ def frame_seed(master_seed: int, frame_index: int) -> int:
     return int(ss.generate_state(2, np.uint64)[0])
 
 
+def _synthesis_sigma(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,
+                     theta: float) -> np.ndarray:
+    """Per-bin amplitude σ(f) of the 2n-sample synthesis spectrum
+    (Timmer & König, A&A 300, 707 (1995))."""
+    fs = acq.sample_rate
+    n2 = 2 * acq.samples_per_frame
+    s2 = _one_sided_model(chain, resp, acq, theta, np.fft.rfftfreq(n2, 1.0 / fs))
+    return np.sqrt(s2 * fs * n2 / 2.0)
+
+
 def synthesize_frame(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,
                      theta: float | None = None, seed: int = 0) -> TraceRecord:
-    """One reproducible homodyne frame with the analytic target spectrum."""
+    """One reproducible homodyne frame with the analytic target spectrum.
+
+    The per-frame reference for synthesize_frames: row i of an ensemble is
+    this frame with seed=frame_seed(master_seed, first_frame + i).
+    """
     th = chain.lo_phase if theta is None else theta
     rng = np.random.default_rng(seed)
     n = acq.samples_per_frame
-    fs = acq.sample_rate
     # Synthesize at 2x length, keep the second half.
-    n2 = 2 * n
-    freqs2 = np.fft.rfftfreq(n2, 1.0 / fs)
-    v_rel = relative_quadrature_power(chain, th)
-    shot = (acq.photocurrent / REFERENCE_PHOTOCURRENT_A) * (2.0 / fs)
-    s2 = resp.magnitude_squared(freqs2) * shot * v_rel + electrical_floor(resp, acq)
-
-    nbins = len(freqs2)
-    sigma = np.sqrt(s2 * fs * n2 / 2.0)
+    sigma = _synthesis_sigma(chain, resp, acq, th)
+    nbins = len(sigma)
     spec = np.empty(nbins, dtype=np.complex128)
     re = rng.standard_normal(nbins)
     im = rng.standard_normal(nbins)
@@ -150,28 +189,46 @@ def synthesize_frame(chain: ChainModel, resp: FrequencyResponse, acq: Acquisitio
     # DC and Nyquist are their own mirror images: real, half one-sided weight
     spec[0] = sigma[0] * re[0]
     spec[-1] = sigma[-1] * re[-1]
-    samples = np.fft.irfft(spec, n=n2)[n:]
+    samples = np.fft.irfft(spec, n=2 * n)[n:]
     return TraceRecord(samples=samples, config=acq, theta=th, seed=seed)
 
 
 def synthesize_frames(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,
                       theta: float | None = None, master_seed: int = 0,
-                      n_frames: int | None = None, threads: int = 1,
-                      first_frame: int = 0) -> list[TraceRecord]:
+                      n_frames: int | None = None, first_frame: int = 0) -> Ensemble:
     """Synthesize an ensemble of frames with per-frame independent RNG streams.
 
+    σ(f) is computed once; frames are drawn and transformed in chunks of
+    SYNTHESIS_CHUNK_BYTES of spectrum, each row from its own stream, so every
+    row equals synthesize_frame's frame for that seed byte for byte.
     first_frame offsets the frame indices so large ensembles can be produced
     in chunks while reproducing the exact same streams.
     """
+    th = chain.lo_phase if theta is None else theta
     count = acq.frames if n_frames is None else n_frames
-    seeds = [frame_seed(master_seed, first_frame + i) for i in range(count)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(
-                lambda s: synthesize_frame(chain, resp, acq, theta, s), seeds))
-    return [synthesize_frame(chain, resp, acq, theta, s) for s in seeds]
+    n = acq.samples_per_frame
+    sigma = _synthesis_sigma(chain, resp, acq, th)
+    nbins = len(sigma)
+    # Amplitudes of the real and imaginary draws; DC and Nyquist are real.
+    amp = np.empty((2, nbins))
+    amp[:, 1:-1] = sigma[1:-1] / math.sqrt(2.0)
+    amp[0, [0, -1]] = sigma[[0, -1]]
+    amp[1, [0, -1]] = 0.0
+    rows = max(1, min(count, SYNTHESIS_CHUNK_BYTES // (16 * nbins)))
+    noise = np.empty((rows, 2, nbins))
+    spec = np.empty((rows, nbins), dtype=np.complex128)
+    full = np.empty((rows, 2 * n))
+    block = np.empty((count, n))
+    for start in range(0, count, rows):
+        k = min(rows, count - start)
+        for r in range(k):
+            rng = np.random.default_rng(frame_seed(master_seed, first_frame + start + r))
+            rng.standard_normal(out=noise[r])      # re, then im
+        np.multiply(amp[0], noise[:k, 0], out=spec.real[:k])
+        np.multiply(amp[1], noise[:k, 1], out=spec.imag[:k])
+        np.fft.irfft(spec[:k], n=2 * n, axis=1, out=full[:k])
+        block[start:start + k] = full[:k, n:]
+    return Ensemble(samples=block, config=acq, theta=th)
 
 
 def extract_wavepacket(trace: TraceRecord, mode_fn: np.ndarray, center_time: float) -> float:

@@ -10,18 +10,16 @@ Binary layout: 64-byte little-endian header, then frames × samples float64.
     20      8     sample interval in femtoseconds (uint64)
     28      8     LO phase theta in microradians (int64)
     36      28    reserved (zero)
-
-CSV export is provided for small frames.
 """
 from __future__ import annotations
 
-import csv
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .signal_chain import AcquisitionConfig, TraceRecord
+from .signal_chain import AcquisitionConfig, Ensemble
 
 MAGIC = b"SQZTRACE"
 VERSION = 1
@@ -33,43 +31,44 @@ class TraceFormatError(ValueError):
     """Raised when a trace file fails header or size validation."""
 
 
-def write_traces(path: str | Path, frames: list[TraceRecord]) -> None:
-    if not frames:
+def write_traces(path: str | Path, ens: Ensemble) -> None:
+    """Write an ensemble; the samples go out straight from its block."""
+    if len(ens) == 0:
         raise ValueError("no frames to write")
-    acq = frames[0].config
-    theta = frames[0].theta
-    for fr in frames:
-        if fr.config.samples_per_frame != acq.samples_per_frame:
-            raise ValueError("frames must share one acquisition config")
+    acq = ens.config
     header = struct.pack(
         _HEADER_FMT, MAGIC, VERSION,
-        acq.samples_per_frame, len(frames),
+        acq.samples_per_frame, len(ens),
         round(acq.sample_interval * 1e15),
-        round(theta * 1e6),
+        round(ens.theta * 1e6),
     )
-    data = np.ascontiguousarray(
-        np.stack([fr.samples for fr in frames]), dtype="<f8")
+    data = ens.samples.astype("<f8", copy=False)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(data.tobytes())
+        fh.write(data.data)
 
 
 def read_traces(path: str | Path) -> tuple[np.ndarray, dict]:
     """Load a trace file; returns (frames × samples array, header metadata)."""
-    raw = Path(path).read_bytes()
-    if len(raw) < HEADER_SIZE:
-        raise TraceFormatError(f"{path}: file shorter than header")
-    magic, version, n_samples, n_frames, dt_fs, theta_urad = struct.unpack(
-        _HEADER_FMT, raw[:HEADER_SIZE])
-    if magic != MAGIC:
-        raise TraceFormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise TraceFormatError(f"{path}: unsupported version {version}")
-    expected = HEADER_SIZE + 8 * n_samples * n_frames
-    if len(raw) != expected:
-        raise TraceFormatError(
-            f"{path}: size {len(raw)} does not match header ({expected} expected)")
-    data = np.frombuffer(raw[HEADER_SIZE:], dtype="<f8").reshape(n_frames, n_samples)
+    with open(path, "rb") as fh:
+        head = fh.read(HEADER_SIZE)
+        if len(head) < HEADER_SIZE:
+            raise TraceFormatError(f"{path}: file shorter than header")
+        magic, version, n_samples, n_frames, dt_fs, theta_urad = struct.unpack(
+            _HEADER_FMT, head)
+        if magic != MAGIC:
+            raise TraceFormatError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise TraceFormatError(f"{path}: unsupported version {version}")
+        expected = HEADER_SIZE + 8 * n_samples * n_frames
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise TraceFormatError(
+                f"{path}: size {size} does not match header ({expected} expected)")
+        count = n_samples * n_frames
+        data = np.fromfile(fh, dtype="<f8", count=count)
+    if data.size != count:
+        raise TraceFormatError(f"{path}: truncated while reading")
     meta = {
         "version": version,
         "samples_per_frame": int(n_samples),
@@ -77,24 +76,12 @@ def read_traces(path: str | Path) -> tuple[np.ndarray, dict]:
         "sample_interval_s": dt_fs * 1e-15,
         "theta_rad": theta_urad * 1e-6,
     }
-    return data.copy(), meta
-
-
-def write_traces_csv(path: str | Path, frames: list[TraceRecord]) -> None:
-    """Plain-text export: one column per frame, one row per sample."""
-    if not frames:
-        raise ValueError("no frames to write")
-    dt = frames[0].config.sample_interval
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s"] + [f"frame_{i}" for i in range(len(frames))])
-        for j in range(frames[0].config.samples_per_frame):
-            writer.writerow([f"{j * dt:.6e}"] + [f"{fr.samples[j]:.9e}" for fr in frames])
+    return data.reshape(n_frames, n_samples), meta
 
 
 def records_from_array(data: np.ndarray, meta: dict,
-                       config: AcquisitionConfig | None = None) -> list[TraceRecord]:
-    """Rehydrate TraceRecords from a loaded array; seeds are not persisted."""
+                       config: AcquisitionConfig | None = None) -> Ensemble:
+    """Wrap a loaded array as an Ensemble without copying it."""
     if config is None:
         n = meta["samples_per_frame"]
         config = AcquisitionConfig(
@@ -102,5 +89,4 @@ def records_from_array(data: np.ndarray, meta: dict,
             samples_per_frame=n,
             frames=meta["frames"],
         )
-    return [TraceRecord(samples=row, config=config, theta=meta["theta_rad"], seed=-1)
-            for row in data]
+    return Ensemble(samples=data, config=config, theta=meta["theta_rad"])

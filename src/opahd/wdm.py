@@ -94,8 +94,8 @@ def plan_bands(carrier_f: float = 194.0e12, channel_spacing: float = 100e9,
 
 
 def write_plan_json(path: str | Path, plan: BandPlan) -> None:
-    with open(path, "w") as fh:
-        json.dump({"schema_version": 1, **plan.to_dict()}, fh, indent=2)
+    Path(path).write_text(
+        json.dumps({"schema_version": 1, **plan.to_dict()}, indent=2, allow_nan=False))
 
 
 def write_plan_csv(path: str | Path, plan: BandPlan) -> None:

@@ -11,8 +11,8 @@ from opahd.fitting import FitConvergenceError, levenberg_marquardt
 from opahd.gaussian import (ChainModel, effective_efficiency, loss,
                             paper_default_chain, psa, pump_curve,
                             relative_quadrature_power, squeeze)
-from opahd.signal_chain import (AcquisitionConfig, FrequencyResponse,
-                                TraceRecord, synthesize_frames)
+from opahd.signal_chain import (AcquisitionConfig, Ensemble,
+                                FrequencyResponse, synthesize_frames)
 
 
 def small_acq(frames=64, n=1024, clearance=None):
@@ -21,7 +21,7 @@ def small_acq(frames=64, n=1024, clearance=None):
 
 
 def make_frames(values_2d, acq):
-    return [TraceRecord(row, acq, 0.0, i) for i, row in enumerate(values_2d)]
+    return Ensemble(values_2d, acq, 0.0)
 
 
 class TestAveragedFft:
@@ -59,12 +59,9 @@ class TestAveragedFft:
             float(np.mean(data ** 2)), rel=1e-10)
 
     def test_mismatched_lengths(self):
-        acq = small_acq()
-        good = TraceRecord(np.zeros(1024), acq, 0.0, 0)
-        acq_short = small_acq(n=512)
-        bad = TraceRecord(np.zeros(512), acq_short, 0.0, 1)
+        # an ensemble whose width is not samples_per_frame cannot be built
         with pytest.raises(ValueError):
-            averaged_fft([good, bad])
+            averaged_fft(make_frames(np.zeros((2, 512)), small_acq(n=1024)))
 
     def test_empty(self):
         with pytest.raises(ValueError):
@@ -223,6 +220,16 @@ class TestFitPumpCurve:
             fit_pump_curve([(0.1, 1.0, 2), (0.2, 1.1, 1), (0.3, 1.2, 1)])
         with pytest.raises(ValueError):
             fit_pump_curve([(0.1, -1.0, 1), (0.2, 1.1, 1), (0.3, 1.2, 1)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", [0, 1])
+    def test_non_finite_input_rejected(self, bad, field):
+        pts = synth_points(0.29, 6.0, np.linspace(0.05, 0.438, 8))
+        p = list(pts[3])
+        p[field] = bad
+        pts[3] = tuple(p)
+        with pytest.raises(ValueError):
+            fit_pump_curve(pts)
 
 
 class TestLevenbergMarquardt:

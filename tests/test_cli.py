@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, config round trip, determinism."""
 import csv
+import hashlib
 import json
 import math
 
@@ -88,6 +89,46 @@ class TestSimulate:
         assert run("--config", path, "--out", tmp_path, "simulate") == 2
 
 
+# Electrical floor on, 1000-sample frames, and frame counts (300 and 70) that
+# are not multiples of the synthesis chunk (65 rows at this width) or of the
+# analysis chunk (256 rows).
+GOLDEN_CONFIG = {
+    "seed": 2718,
+    "chain": SMALL_CONFIG["chain"],
+    "acquisition": {
+        "record_duration_ns": 6.25,
+        "samples_per_frame": 1000,
+        "frames": 300,
+        "photocurrent_ma": 3.0,
+        "clearance_at_43ghz_db": 20.0,
+    },
+}
+GOLDEN_SHA256 = {
+    "signal.trace": "a34ae1addfe06e41f1a1e9825a8e89f9c7873de49ec98e1d0b6c7bbcac820b33",
+    "shot.trace": "97889e10e1e103b4abef3f514e324e0a6cb5419b0321a8914ee3b12c4e0eae8c",
+    "summary.json": "a59d4d47ed6c46c750c2590db83c974a8f91a52eab658bcea6f1be76bfff76a6",
+    "levels.json": "22c34d9b5bbdfd65b7c690c803c41a05de1df3bdc81a6990b1178792a1ed6de3",
+    "spectrum.csv": "fb8d6e39443e9c85c652622a11c9b562bec1309525c5ff43e2c5d266cf74ce08",
+    "histogram.csv": "cf862bb80d246596936c938dcefacdf4bbcdb4091932978beaf003abde8eb571",
+    "sweep.csv": "35a5043cd162db504eec681b7d396086c0272121b0b77971a3fee9aed4a84428",
+}
+
+
+def test_outputs_match_golden_sha256(tmp_path):
+    """Every output byte of simulate, analyze and a Monte Carlo sweep is pinned."""
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(GOLDEN_CONFIG))
+    out = tmp_path / "out"
+    common = ("--config", path, "--out", out)
+    assert run(*common, "simulate") == 0
+    assert run(*common, "analyze", out / "signal.trace", out / "shot.trace") == 0
+    assert run(*common, "sweep-loss", "--monte-carlo", "--added-loss", "0,0.5",
+               "--gains-db", "35", "--mc-frames", "70") == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SHA256}
+    assert digests == GOLDEN_SHA256
+
+
 class TestAnalyze:
     def test_vacuum_self_analysis_is_zero_db(self, tmp_path, config_path, capsys):
         cfg = json.loads(config_path.read_text())
@@ -157,6 +198,16 @@ class TestFit:
         path = tmp_path / "wrong.csv"
         path.write_text("a,b\n1,2\n")
         assert run("--out", tmp_path, "fit", path) == 2
+
+    def test_nan_level_usage_error(self, tmp_path):
+        path = tmp_path / "levels.csv"
+        self.write_levels(path)
+        lines = path.read_text().splitlines()
+        pump, _, branch = lines[3].split(",")
+        lines[3] = f"{pump},nan,{branch}"
+        path.write_text("\n".join(lines) + "\n")
+        assert run("--out", tmp_path, "fit", path) == 2
+        assert not (tmp_path / "fit.json").exists()
 
 
 class TestSweepLoss:

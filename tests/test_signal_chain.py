@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from opahd.gaussian import ChainModel, loss, paper_default_chain, squeeze
-from opahd.signal_chain import (AcquisitionConfig, FrequencyResponse,
-                                TraceRecord, electrical_floor,
-                                extract_wavepacket, frame_seed, model_variance,
-                                psd_model, synthesize_frame, synthesize_frames)
+from opahd.signal_chain import (SYNTHESIS_CHUNK_BYTES, AcquisitionConfig,
+                                Ensemble, FrequencyResponse, TraceRecord,
+                                electrical_floor, extract_wavepacket,
+                                frame_seed, model_variance, psd_model,
+                                synthesize_frame, synthesize_frames)
 
 VACUUM = ChainModel()
 
@@ -94,17 +95,24 @@ class TestSynthesis:
     def test_chunked_streams_match(self):
         resp, acq = FrequencyResponse(), small_acq(frames=8)
         whole = synthesize_frames(VACUUM, resp, acq, 0.0, master_seed=5)
-        parts = (synthesize_frames(VACUUM, resp, acq, 0.0, 5, n_frames=3)
-                 + synthesize_frames(VACUUM, resp, acq, 0.0, 5, n_frames=5, first_frame=3))
-        for a, b in zip(whole, parts):
-            assert np.array_equal(a.samples, b.samples)
+        parts = np.concatenate([
+            synthesize_frames(VACUUM, resp, acq, 0.0, 5, n_frames=3).samples,
+            synthesize_frames(VACUUM, resp, acq, 0.0, 5, n_frames=5, first_frame=3).samples])
+        assert np.array_equal(whole.samples, parts)
 
-    def test_threads_match_serial(self):
-        resp, acq = FrequencyResponse(), small_acq(frames=6)
-        serial = synthesize_frames(VACUUM, resp, acq, 0.0, master_seed=3)
-        threaded = synthesize_frames(VACUUM, resp, acq, 0.0, master_seed=3, threads=4)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.samples, b.samples)
+    @pytest.mark.parametrize("n", [512, 12512])
+    def test_rows_match_per_frame_reference(self, n):
+        # three chunks of batched synthesis, the last one ragged
+        rows = SYNTHESIS_CHUNK_BYTES // (16 * (n + 1))
+        count = 2 * rows + rows // 2 + 1
+        assert count % rows != 0
+        resp, acq = FrequencyResponse(), small_acq(frames=count, n=n, clearance=20.0)
+        chain = paper_default_chain()
+        ens = synthesize_frames(chain, resp, acq, 0.4, master_seed=17, first_frame=9)
+        assert len(ens) == count
+        for i in range(count):
+            ref = synthesize_frame(chain, resp, acq, 0.4, seed=frame_seed(17, 9 + i))
+            assert ens.samples[i].tobytes() == ref.samples.tobytes()
 
     def test_parseval(self):
         # mean squared sample value equals the integral of the target PSD
@@ -135,6 +143,35 @@ class TestSynthesis:
     def test_frame_seed_unique(self):
         seeds = {frame_seed(9, i) for i in range(1000)}
         assert len(seeds) == 1000
+
+
+class TestEnsemble:
+    def test_block_shape(self):
+        acq = small_acq(frames=4)
+        ens = synthesize_frames(VACUUM, FrequencyResponse(), acq, 0.2, master_seed=1)
+        assert len(ens) == 4
+        assert ens.samples.shape == (4, acq.samples_per_frame)
+        assert ens.samples.dtype == np.float64 and ens.samples.flags.c_contiguous
+        assert ens.theta == 0.2
+
+    def test_width_must_match_config(self):
+        with pytest.raises(ValueError):
+            Ensemble(np.zeros((3, 512)), small_acq(n=1024), 0.0)
+        with pytest.raises(ValueError):
+            Ensemble(np.zeros(1024), small_acq(n=1024), 0.0)
+
+    def test_row_is_trace_record_view(self):
+        acq = small_acq(frames=3)
+        ens = synthesize_frames(VACUUM, FrequencyResponse(), acq, 0.0, master_seed=2)
+        rec = ens[1]
+        assert isinstance(rec, TraceRecord)
+        assert np.shares_memory(rec.samples, ens.samples)
+        assert np.array_equal(rec.samples, ens.samples[1])
+        assert [r.samples.tobytes() for r in ens] == [row.tobytes() for row in ens.samples]
+        mode = np.ones(64) / math.sqrt(64 * acq.sample_interval)
+        copy = TraceRecord(ens.samples[1].copy(), acq, 0.0, 0)
+        t = 10 * acq.sample_interval
+        assert extract_wavepacket(rec, mode, t) == extract_wavepacket(copy, mode, t)
 
 
 class TestWavepacket:
