@@ -7,9 +7,12 @@ power gain on the X quadrature (gain_db = 10 log10 G).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
 VACUUM_VARIANCE = 0.5
+# Relative size of the isotropic noise _congruence adds to cover its rounding.
+_ROUNDING_NOISE = 16 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -45,14 +48,30 @@ def vacuum() -> GaussianState:
 
 def _congruence(state: GaussianState, m00: float, m01: float,
                 m10: float, m11: float) -> GaussianState:
-    """Apply the linear map M to means and M V Mᵀ to the covariance."""
+    """Apply the linear map M to means and M V Mᵀ to the covariance.
+
+    Once V has an off-diagonal part, det V = vx·vp − c² is a difference of
+    terms up to tr(V)², so rounding in M V Mᵀ can leave the stored state a few
+    ulps of tr(V)² below the uncertainty bound. Adding isotropic noise of
+    _ROUNDING_NOISE·tr(V) to both variances, a valid classical-noise channel,
+    outweighs that error and keeps the rounded state physical. A covariance
+    that stays diagonal is rounded only relatively, and the identity map not
+    at all; neither gets noise.
+    """
     vx, vp, c = state.var_x, state.var_p, state.cov_xp
+    var_x = m00 * m00 * vx + 2 * m00 * m01 * c + m01 * m01 * vp
+    var_p = m10 * m10 * vx + 2 * m10 * m11 * c + m11 * m11 * vp
+    cov_xp = m00 * m10 * vx + (m00 * m11 + m01 * m10) * c + m01 * m11 * vp
+    if cov_xp != 0.0 and (m00, m01, m10, m11) != (1.0, 0.0, 0.0, 1.0):
+        noise = _ROUNDING_NOISE * (var_x + var_p)
+        var_x += noise
+        var_p += noise
     return GaussianState(
         mean_x=m00 * state.mean_x + m01 * state.mean_p,
         mean_p=m10 * state.mean_x + m11 * state.mean_p,
-        var_x=m00 * m00 * vx + 2 * m00 * m01 * c + m01 * m01 * vp,
-        var_p=m10 * m10 * vx + 2 * m10 * m11 * c + m11 * m11 * vp,
-        cov_xp=m00 * m10 * vx + (m00 * m11 + m01 * m10) * c + m01 * m11 * vp,
+        var_x=var_x,
+        var_p=var_p,
+        cov_xp=cov_xp,
     )
 
 

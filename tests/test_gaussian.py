@@ -2,7 +2,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opahd.gaussian import (ChainModel, ChannelSpec, GaussianState, apply_loss,
@@ -209,6 +209,7 @@ _channels = st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_channels, min_size=1, max_size=6))
+@example([psa(9.0, 1.0), psa(30.0, 1.0), phase(1.0)])  # rotated 39 dB ellipse
 def test_uncertainty_preserved_along_chain(stages):
     state = vacuum()
     for stage in stages:
