@@ -8,10 +8,12 @@ from .gaussian import (ChainModel, ChannelSpec, GaussianState, apply_loss,
                        pump_curve, relative_quadrature_power,
                        source_chain_for_levels, squeeze, vacuum)
 from .signal_chain import (AcquisitionConfig, Ensemble, FrequencyResponse,
-                           TraceRecord, extract_wavepacket, model_variance,
-                           psd_model, synthesize_frame, synthesize_frames)
-from .analysis import (SpectrumEstimate, SqueezeFitResult, averaged_fft,
-                       fit_pump_curve, frame_variances, histogram, loss_sweep,
+                           TraceRecord, extract_wavepacket, frame_chunks,
+                           model_variance, psd_model, synthesize_frame,
+                           synthesize_frames)
+from .analysis import (FrameStats, SpectrumEstimate, SqueezeFitResult,
+                       averaged_fft, fit_pump_curve, frame_variances, histogram,
+                       level_from_variances, loss_sweep, pooled_histogram,
                        relative_level, variance_level)
 from .wdm import BandPlan, plan_bands
 from .config import ExperimentConfig

@@ -15,9 +15,12 @@ from .signal_chain import (AcquisitionConfig, Ensemble, FrequencyResponse,
 # Oscilloscope artifact region excluded from plateau statistics by default.
 DEFAULT_MASK_CENTER_HZ = 34e9
 DEFAULT_MASK_WIDTH_HZ = 1e9
-# Frames per chunk of averaged_fft. It bounds the temporaries and fixes the
-# order of the power sums, hence spectrum.csv's bytes.
+# Frames per group of the Welch power sum. Rows are added one by one into a
+# group's partial sum and each full group into the total; this order fixes
+# spectrum.csv's bytes.
 FFT_CHUNK_FRAMES = 256
+# Bytes of spectrum per chunk of rows FrameStats transforms at a time.
+FFT_CHUNK_BYTES = 1 << 20
 # Bytes of samples per chunk of frame_variances, small enough that its
 # temporaries stay in cache. Per-frame results do not depend on it.
 VARIANCE_CHUNK_BYTES = 1 << 19
@@ -44,30 +47,90 @@ class SpectrumEstimate:
         return 10.0 * np.log10(self.power)
 
 
+class FrameStats:
+    """Reductions of one ensemble of `frames` frames, fed chunk by chunk: the
+    power sum of averaged_fft, the per-frame variances (`variances`, filled
+    up to `count`) and the sample range [`lo`, `hi`], NaN if any sample is.
+
+    Any chunking gives the same bytes as one pass over the whole block. Each
+    row's |X|² is added in turn to the partial sum of its FFT_CHUNK_FRAMES-row
+    group, which is the order in which numpy's sum(axis=0) adds the rows of a
+    C-contiguous group, and each full group's partial goes into the total.
+    """
+
+    def __init__(self, config: AcquisitionConfig, frames: int,
+                 window: str = "rectangular"):
+        n = config.samples_per_frame
+        nbins = n // 2 + 1
+        if window == "rectangular":
+            win = np.ones(n)
+        elif window == "hann":
+            win = np.hanning(n)
+        else:
+            raise ValueError(f"unknown window {window!r}")
+        self.config = config
+        self._win = None if window == "rectangular" else win   # x * 1.0 is x
+        self._scale = 1.0 / (config.sample_rate * np.sum(win ** 2))
+        self.count = 0
+        self.variances = np.empty(frames)
+        self.lo = np.float64(np.inf)
+        self.hi = np.float64(-np.inf)
+        self._power_sum = np.zeros(nbins)
+        self._rows = max(1, min(FFT_CHUNK_FRAMES, FFT_CHUNK_BYTES // (16 * nbins)))
+        # Row 0 holds the current group's partial sum, rows 1.. the |X|² of
+        # the rows being added to it.
+        self._buf = np.zeros((self._rows + 1, nbins))
+        self._in_group = 0
+
+    def add(self, chunk: np.ndarray) -> None:
+        """Add a rows × samples_per_frame chunk of the next frames."""
+        k = len(chunk)
+        if chunk.ndim != 2 or chunk.shape[1] != self.config.samples_per_frame:
+            raise ValueError("chunk must be a rows × samples_per_frame block")
+        if self.count + k > len(self.variances):
+            raise ValueError(f"more than the {len(self.variances)} frames announced")
+        if k == 0:
+            return
+        self.variances[self.count:self.count + k] = frame_variances(chunk)
+        self.lo = np.minimum(self.lo, chunk.min())     # NaN propagates
+        self.hi = np.maximum(self.hi, chunk.max())
+        self.count += k
+        buf = self._buf
+        i = 0
+        while i < k:
+            m = min(k - i, self._rows, FFT_CHUNK_FRAMES - self._in_group)
+            data = chunk[i:i + m]
+            if self._win is not None:
+                data = data * self._win
+            power = buf[1:m + 1]
+            np.abs(np.fft.rfft(data, axis=1), out=power)
+            np.square(power, out=power)
+            buf[0] = buf[:m + 1].sum(axis=0)
+            self._in_group += m
+            if self._in_group == FFT_CHUNK_FRAMES:
+                self._power_sum += buf[0]
+                buf[0] = 0.0
+                self._in_group = 0
+            i += m
+
+    def spectrum(self) -> SpectrumEstimate:
+        """Power-averaged periodogram of the frames added so far."""
+        if self.count == 0:
+            raise ValueError("need at least one frame")
+        power = (self._power_sum + self._buf[0]) * (self._scale / self.count)
+        power[1:-1] *= 2.0  # fold negative frequencies, one-sided convention
+        n = self.config.samples_per_frame
+        freqs = np.fft.rfftfreq(n, 1.0 / self.config.sample_rate)
+        return SpectrumEstimate(freqs=freqs, power=power, frames_averaged=self.count)
+
+
 def averaged_fft(frames: Ensemble, window: str = "rectangular") -> SpectrumEstimate:
     """Power-averaged per-frame periodogram (one-sided, PSD units)."""
     if len(frames) == 0:
         raise ValueError("need at least one frame")
-    n = frames.config.samples_per_frame
-    fs = frames.config.sample_rate
-    if window == "rectangular":
-        win = np.ones(n)
-    elif window == "hann":
-        win = np.hanning(n)
-    else:
-        raise ValueError(f"unknown window {window!r}")
-    scale = 1.0 / (fs * np.sum(win ** 2))
-    power_sum = np.zeros(n // 2 + 1)
-    for i in range(0, len(frames), FFT_CHUNK_FRAMES):
-        data = frames.samples[i:i + FFT_CHUNK_FRAMES]
-        if window != "rectangular":     # rectangular: x * 1.0 == x, no copy
-            data = data * win
-        spec = np.fft.rfft(data, axis=1)
-        power_sum += (np.abs(spec) ** 2).sum(axis=0)
-    power = power_sum * (scale / len(frames))
-    power[1:-1] *= 2.0  # fold negative frequencies, one-sided convention
-    freqs = np.fft.rfftfreq(n, 1.0 / fs)
-    return SpectrumEstimate(freqs=freqs, power=power, frames_averaged=len(frames))
+    stats = FrameStats(frames.config, len(frames), window)
+    stats.add(frames.samples)
+    return stats.spectrum()
 
 
 def relative_level(signal: SpectrumEstimate, shot: SpectrumEstimate) -> SpectrumEstimate:
@@ -104,10 +167,14 @@ def variance_level(frames: Ensemble, shot_frames: Ensemble) -> tuple[float, floa
     Returns (level_db, err_db); the error is the standard error across
     frames propagated through the log ratio.
     """
-    if len(frames) < 2 or len(shot_frames) < 2:
+    return level_from_variances(frame_variances(frames.samples),
+                                frame_variances(shot_frames.samples))
+
+
+def level_from_variances(v_sig: np.ndarray, v_shot: np.ndarray) -> tuple[float, float]:
+    """variance_level from the per-frame variances of the two ensembles."""
+    if len(v_sig) < 2 or len(v_shot) < 2:
         raise ValueError("need at least two frames per ensemble")
-    v_sig = frame_variances(frames.samples)
-    v_shot = frame_variances(shot_frames.samples)
     m_sig, m_shot = v_sig.mean(), v_shot.mean()
     if m_sig <= 0 or m_shot <= 0:
         raise FloatingPointError("degenerate (zero-variance) ensemble")
@@ -120,9 +187,19 @@ def variance_level(frames: Ensemble, shot_frames: Ensemble) -> tuple[float, floa
 
 def histogram(frames: Ensemble, bins: int = 100) -> tuple[np.ndarray, np.ndarray]:
     """Pooled sample histogram across an ensemble of frames."""
+    data = frames.samples
+    return pooled_histogram([data], bins, data.min(), data.max())
+
+
+def pooled_histogram(chunks, bins: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram of all samples of the chunks, whose range is [lo, hi]: the
+    same edges and counts as one np.histogram call on all of them."""
     if bins < 2:
         raise ValueError("need at least two bins")
-    counts, edges = np.histogram(frames.samples.ravel(), bins=bins)
+    edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(lo, hi))
+    counts = np.zeros(bins, dtype=np.intp)
+    for chunk in chunks:
+        counts += np.histogram(chunk, bins=bins, range=(lo, hi))[0]
     return edges, counts
 
 

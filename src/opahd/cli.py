@@ -4,9 +4,13 @@ Global flags: --config PATH, --seed N, --out DIR. Each flag can also be set
 through the environment as OPAHD_CONFIG, OPAHD_SEED, OPAHD_OUT (command
 line wins).
 
-simulate synthesizes each ensemble as one frames × samples block and writes
-it to its trace file; analyze reads each trace file into one block and
-reduces it without copying. JSON outputs never contain NaN or infinity.
+simulate and analyze stream: simulate writes each trace file chunk by chunk
+as it synthesizes the frames, and analyze reduces each trace file chunk by
+chunk, with a second pass over the signal file for the histogram. Their
+memory is O(chunk), however many frames a config asks for. Every output file
+is written to a temporary file beside it and moved into place only when
+complete. JSON outputs never contain NaN or infinity, and analyze rejects a
+trace file with a non-finite sample (exit 2) before writing any output.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numeric failure, 4 I/O error.
 """
@@ -26,7 +30,7 @@ from . import analysis as ana
 from . import traceio, wdm
 from .config import ConfigError, ExperimentConfig
 from .fitting import FitConvergenceError
-from .signal_chain import model_variance, psd_model, synthesize_frames
+from .signal_chain import frame_chunks, model_variance
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -89,61 +93,71 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _write_json(path: Path, obj: dict) -> None:
+    with traceio.atomic_output(path) as fh:
+        fh.write(json.dumps(obj, indent=2, allow_nan=False) + "\n")
+
+
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    acq = cfg.acquisition
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = {}
     for label, chain, seed in (
             ("signal", cfg.chain, cfg.seed),
             ("shot", cfg.chain.without_squeezing(), cfg.seed + 1)):
-        frames = synthesize_frames(chain, cfg.response, cfg.acquisition, master_seed=seed)
         path = out / f"{label}.trace"
-        traceio.write_traces(path, frames)
-        empirical = float(np.mean(ana.frame_variances(frames.samples)))
+        with traceio.trace_writer(path, acq, chain.lo_phase, acq.frames) as write:
+            variances = np.empty(acq.frames)
+            done = 0
+            for chunk in frame_chunks(chain, cfg.response, acq, master_seed=seed):
+                write(chunk)
+                variances[done:done + len(chunk)] = ana.frame_variances(chunk)
+                done += len(chunk)
         results[label] = {
             "file": path.name,
-            "frames": len(frames),
-            "samples_per_frame": cfg.acquisition.samples_per_frame,
+            "frames": acq.frames,
+            "samples_per_frame": acq.samples_per_frame,
             "master_seed": seed,
-            "analytic_variance": model_variance(chain, cfg.response, cfg.acquisition),
-            "empirical_variance": empirical,
+            "analytic_variance": model_variance(chain, cfg.response, acq),
+            "empirical_variance": float(np.mean(variances)),
         }
     summary = {"schema_version": 1, "master_seed": cfg.seed,
                "config": cfg.to_dict(), "traces": results}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
+    _write_json(out / "summary.json", summary)
     print(f"wrote {out / 'signal.trace'}, {out / 'shot.trace'}, {out / 'summary.json'}")
     return EXIT_OK
 
 
-def _records(path):
-    return traceio.records_from_array(*traceio.read_traces(path))
+def _first_pass(reader: traceio.TraceReader, window: str) -> ana.FrameStats:
+    """Reduce a trace file chunk by chunk; every sample must be finite."""
+    stats = ana.FrameStats(reader.acquisition, reader.meta["frames"], window)
+    for chunk in reader.chunks():
+        stats.add(chunk)
+    if not (np.isfinite(stats.lo) and np.isfinite(stats.hi)):
+        raise traceio.TraceFormatError(f"{reader.path}: non-finite sample values")
+    return stats
 
 
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    signal = _records(args.traces)
-    shot = _records(args.shot)
-
-    spec_sig = ana.averaged_fft(signal, window=cfg.analysis.window)
-    spec_shot = ana.averaged_fft(shot, window=cfg.analysis.window)
-    rel = ana.relative_level(spec_sig, spec_shot)
-    with open(out / "spectrum.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "power_rel", "power_db"])
-        for f, p in zip(rel.freqs, rel.power):
-            writer.writerow([f"{f:.6e}", f"{p:.9e}", f"{10 * math.log10(p):.6f}"])
-
-    level_db, err_db = ana.variance_level(signal, shot)
+    with traceio.TraceReader(args.traces) as sig_file, traceio.TraceReader(args.shot) as shot_file:
+        signal = _first_pass(sig_file, cfg.analysis.window)
+        shot = _first_pass(shot_file, cfg.analysis.window)
+        edges, counts = ana.pooled_histogram(sig_file.chunks(), cfg.analysis.histogram_bins,
+                                             signal.lo, signal.hi)
+    rel = ana.relative_level(signal.spectrum(), shot.spectrum())
+    level_db, err_db = ana.level_from_variances(signal.variances, shot.variances)
     mask = ana.artifact_mask(rel.freqs, cfg.analysis.mask_center_ghz * 1e9,
                              cfg.analysis.mask_width_ghz * 1e9)
     in_band = mask & (rel.freqs <= cfg.response.detector_f3db)
     plateau = rel.power_db()[in_band]
     report = {
         "schema_version": 1,
-        "frames": len(signal),
+        "frames": signal.count,
         "level_db": level_db,
         "level_err_db": err_db,
         "plateau_mean_db": float(plateau.mean()),
@@ -152,10 +166,14 @@ def cmd_analyze(args) -> int:
         "artifact_mask_center_hz": cfg.analysis.mask_center_ghz * 1e9,
         "artifact_mask_width_hz": cfg.analysis.mask_width_ghz * 1e9,
     }
-    (out / "levels.json").write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
 
-    edges, counts = ana.histogram(signal, bins=cfg.analysis.histogram_bins)
-    with open(out / "histogram.csv", "w", newline="") as fh:
+    with traceio.atomic_output(out / "spectrum.csv", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["freq_hz", "power_rel", "power_db"])
+        for f, p in zip(rel.freqs, rel.power):
+            writer.writerow([f"{f:.6e}", f"{p:.9e}", f"{10 * math.log10(p):.6f}"])
+    _write_json(out / "levels.json", report)
+    with traceio.atomic_output(out / "histogram.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_left", "bin_right", "count"])
         for left, right, c in zip(edges[:-1], edges[1:], counts):
@@ -200,7 +218,7 @@ def cmd_fit(args) -> int:
         "cost": result.cost,
         "iterations": result.n_iter,
     }
-    (out / "fit.json").write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
+    _write_json(out / "fit.json", report)
     floor = report["squeezing_floor_db"]
     floor_txt = f"{floor:.2f} dB floor" if floor is not None else "lossless"
     print(f"loss fraction L = {result.big_l:.4f} ({floor_txt}), "
@@ -218,7 +236,7 @@ def cmd_sweep_loss(args) -> int:
                           monte_carlo=args.monte_carlo,
                           resp=cfg.response, acq=cfg.acquisition,
                           mc_frames=args.mc_frames, master_seed=cfg.seed)
-    with open(out / "sweep.csv", "w", newline="") as fh:
+    with traceio.atomic_output(out / "sweep.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["gain_db", "added_loss", "squeezing_db_oracle", "squeezing_db_mc"])
         for row in rows:

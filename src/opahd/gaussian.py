@@ -33,9 +33,6 @@ class GaussianState:
         """det of the covariance matrix; ≥ 1/4 for physical states."""
         return self.var_x * self.var_p - self.cov_xp ** 2
 
-    def is_physical(self, tol: float = 1e-9) -> bool:
-        return self.uncertainty_product() >= 0.25 - tol
-
     def quadrature_variance(self, theta: float) -> float:
         """Variance of X cosθ + P sinθ."""
         c, s = math.cos(theta), math.sin(theta)
@@ -140,7 +137,17 @@ class ChannelSpec:
         missing = [k for k in self._REQUIRED[self.kind] if k not in self.params]
         if missing:
             raise ValueError(f"{self.kind} channel missing parameters {missing}")
-        p = self.params
+        p = dict(self.params)
+        for k in self._REQUIRED[self.kind]:
+            try:
+                value = float(p[k])
+            except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(f"{self.kind} channel parameter {k} must be a finite "
+                                 f"number, got {p[k]!r}")
+            p[k] = value
+        object.__setattr__(self, "params", p)
         if self.kind == "loss" and not 0.0 <= p["eta"] <= 1.0:
             raise ValueError(f"loss eta must be in [0, 1], got {p['eta']}")
         if self.kind == "psa":

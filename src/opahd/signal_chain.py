@@ -14,8 +14,8 @@ import numpy as np
 from .gaussian import ChainModel, relative_quadrature_power
 
 REFERENCE_PHOTOCURRENT_A = 3.0e-3
-# Size of the complex spectrum buffer synthesize_frames reuses for each chunk
-# of frames; its noise and irfft buffers are about as large.
+# Size of the complex spectrum buffer frame_chunks reuses for each chunk of
+# frames; its noise and irfft buffers are about as large.
 SYNTHESIS_CHUNK_BYTES = 1 << 20
 
 
@@ -193,16 +193,18 @@ def synthesize_frame(chain: ChainModel, resp: FrequencyResponse, acq: Acquisitio
     return TraceRecord(samples=samples, config=acq, theta=th, seed=seed)
 
 
-def synthesize_frames(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,
-                      theta: float | None = None, master_seed: int = 0,
-                      n_frames: int | None = None, first_frame: int = 0) -> Ensemble:
-    """Synthesize an ensemble of frames with per-frame independent RNG streams.
+def frame_chunks(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,
+                 theta: float | None = None, master_seed: int = 0,
+                 n_frames: int | None = None, first_frame: int = 0):
+    """Synthesize frames chunk by chunk with per-frame independent RNG streams.
 
-    σ(f) is computed once; frames are drawn and transformed in chunks of
-    SYNTHESIS_CHUNK_BYTES of spectrum, each row from its own stream, so every
-    row equals synthesize_frame's frame for that seed byte for byte.
-    first_frame offsets the frame indices so large ensembles can be produced
-    in chunks while reproducing the exact same streams.
+    Yields successive rows × samples_per_frame chunks, together n_frames rows
+    (default acq.frames). σ(f) is computed once; each chunk holds about
+    SYNTHESIS_CHUNK_BYTES of spectrum, each row drawn from its own stream, so
+    every row equals synthesize_frame's frame for that seed byte for byte.
+    first_frame offsets the frame indices, so an ensemble can be produced in
+    parts that reproduce the exact same streams. Each chunk is a view into a
+    buffer the next chunk overwrites: consume or copy it before advancing.
     """
     th = chain.lo_phase if theta is None else theta
     count = acq.frames if n_frames is None else n_frames
@@ -218,7 +220,6 @@ def synthesize_frames(chain: ChainModel, resp: FrequencyResponse, acq: Acquisiti
     noise = np.empty((rows, 2, nbins))
     spec = np.empty((rows, nbins), dtype=np.complex128)
     full = np.empty((rows, 2 * n))
-    block = np.empty((count, n))
     for start in range(0, count, rows):
         k = min(rows, count - start)
         for r in range(k):
@@ -227,7 +228,20 @@ def synthesize_frames(chain: ChainModel, resp: FrequencyResponse, acq: Acquisiti
         np.multiply(amp[0], noise[:k, 0], out=spec.real[:k])
         np.multiply(amp[1], noise[:k, 1], out=spec.imag[:k])
         np.fft.irfft(spec[:k], n=2 * n, axis=1, out=full[:k])
-        block[start:start + k] = full[:k, n:]
+        yield full[:k, n:]
+
+
+def synthesize_frames(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,
+                      theta: float | None = None, master_seed: int = 0,
+                      n_frames: int | None = None, first_frame: int = 0) -> Ensemble:
+    """The frames of frame_chunks (same arguments) as one Ensemble block."""
+    th = chain.lo_phase if theta is None else theta
+    count = acq.frames if n_frames is None else n_frames
+    block = np.empty((count, acq.samples_per_frame))
+    start = 0
+    for chunk in frame_chunks(chain, resp, acq, th, master_seed, count, first_frame):
+        block[start:start + len(chunk)] = chunk
+        start += len(chunk)
     return Ensemble(samples=block, config=acq, theta=th)
 
 

@@ -1,4 +1,4 @@
-"""Trace file I/O.
+"""Trace file I/O, whole or chunk by chunk, and atomic output files.
 
 Binary layout: 64-byte little-endian header, then frames × samples float64.
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -25,32 +26,90 @@ MAGIC = b"SQZTRACE"
 VERSION = 1
 HEADER_SIZE = 64
 _HEADER_FMT = "<8sIIIQq28x"
+# Bytes of samples per chunk TraceReader.chunks reads into its one buffer.
+READ_CHUNK_BYTES = 1 << 20
 
 
 class TraceFormatError(ValueError):
     """Raised when a trace file fails header or size validation."""
 
 
+@contextmanager
+def atomic_output(path: str | Path, mode: str = "w", **open_args):
+    """Open a temporary file beside path for writing. When the block ends
+    normally the file replaces path through os.replace; when it raises, the
+    temporary file is removed and path keeps what it held."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+@contextmanager
+def trace_writer(path: str | Path, config: AcquisitionConfig, theta: float, frames: int):
+    """Write a trace file of `frames` frames chunk by chunk.
+
+    Yields a function that appends one rows × samples_per_frame chunk. The
+    header is packed up front; the file appears under path, through
+    atomic_output, only when the block ends with all frames written.
+    """
+    if not 1 <= frames < 2 ** 32:
+        raise ValueError(f"a trace file holds 1 to 2**32 - 1 frames, not {frames}")
+    n = config.samples_per_frame
+    header = struct.pack(
+        _HEADER_FMT, MAGIC, VERSION, n, frames,
+        round(config.sample_interval * 1e15),
+        round(theta * 1e6),
+    )
+    with atomic_output(path, "wb") as fh:
+        fh.write(header)
+        written = 0
+
+        def write(chunk: np.ndarray) -> None:
+            nonlocal written
+            data = np.ascontiguousarray(chunk, dtype="<f8")
+            if data.ndim != 2 or data.shape[1] != n:
+                raise ValueError("chunk must be a rows × samples_per_frame block")
+            fh.write(data.data)
+            written += len(data)
+
+        yield write
+        if written != frames:
+            raise ValueError(f"{path}: {written} of the {frames} frames in the header written")
+
+
 def write_traces(path: str | Path, ens: Ensemble) -> None:
     """Write an ensemble; the samples go out straight from its block."""
-    if len(ens) == 0:
-        raise ValueError("no frames to write")
-    acq = ens.config
-    header = struct.pack(
-        _HEADER_FMT, MAGIC, VERSION,
-        acq.samples_per_frame, len(ens),
-        round(acq.sample_interval * 1e15),
-        round(ens.theta * 1e6),
-    )
-    data = ens.samples.astype("<f8", copy=False)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data.data)
+    with trace_writer(path, ens.config, ens.theta, len(ens)) as write:
+        write(ens.samples)
 
 
-def read_traces(path: str | Path) -> tuple[np.ndarray, dict]:
-    """Load a trace file; returns (frames × samples array, header metadata)."""
-    with open(path, "rb") as fh:
+class TraceReader:
+    """An open trace file whose header and size have been checked, read whole
+    or chunk by chunk. Use it as a context manager, which closes the file."""
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self._fh = open(path, "rb")
+        try:
+            self.meta = self._read_header()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> "TraceReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def _read_header(self) -> dict:
+        path, fh = self.path, self._fh
         head = fh.read(HEADER_SIZE)
         if len(head) < HEADER_SIZE:
             raise TraceFormatError(f"{path}: file shorter than header")
@@ -65,28 +124,60 @@ def read_traces(path: str | Path) -> tuple[np.ndarray, dict]:
         if size != expected:
             raise TraceFormatError(
                 f"{path}: size {size} does not match header ({expected} expected)")
-        count = n_samples * n_frames
-        data = np.fromfile(fh, dtype="<f8", count=count)
-    if data.size != count:
-        raise TraceFormatError(f"{path}: truncated while reading")
-    meta = {
-        "version": version,
-        "samples_per_frame": int(n_samples),
-        "frames": int(n_frames),
-        "sample_interval_s": dt_fs * 1e-15,
-        "theta_rad": theta_urad * 1e-6,
-    }
-    return data.reshape(n_frames, n_samples), meta
+        return {
+            "version": version,
+            "samples_per_frame": int(n_samples),
+            "frames": int(n_frames),
+            "sample_interval_s": dt_fs * 1e-15,
+            "theta_rad": theta_urad * 1e-6,
+        }
+
+    @property
+    def acquisition(self) -> AcquisitionConfig:
+        """The acquisition settings the header records."""
+        return config_from_meta(self.meta)
+
+    def _fill(self, out: np.ndarray) -> None:
+        if self._fh.readinto(out) != out.nbytes:
+            raise TraceFormatError(f"{self.path}: truncated while reading")
+
+    def read(self) -> np.ndarray:
+        """All frames as one frames × samples array."""
+        out = np.empty((self.meta["frames"], self.meta["samples_per_frame"]), dtype="<f8")
+        self._fh.seek(HEADER_SIZE)
+        self._fill(out)
+        return out
+
+    def chunks(self):
+        """Yield the frames in order as rows × samples chunks of about
+        READ_CHUNK_BYTES. Each chunk is a view into one buffer that the next
+        chunk overwrites. Every call starts again from the first frame."""
+        n, frames = self.meta["samples_per_frame"], self.meta["frames"]
+        rows = max(1, min(frames, READ_CHUNK_BYTES // max(8 * n, 1)))
+        buf = np.empty((rows, n), dtype="<f8")
+        self._fh.seek(HEADER_SIZE)
+        for start in range(0, frames, rows):
+            view = buf[:min(rows, frames - start)]
+            self._fill(view)
+            yield view
+
+
+def read_traces(path: str | Path) -> tuple[np.ndarray, dict]:
+    """Load a trace file; returns (frames × samples array, header metadata)."""
+    with TraceReader(path) as reader:
+        return reader.read(), reader.meta
+
+
+def config_from_meta(meta: dict) -> AcquisitionConfig:
+    """The acquisition settings recorded in a trace header."""
+    n = meta["samples_per_frame"]
+    return AcquisitionConfig(record_duration=n * meta["sample_interval_s"],
+                             samples_per_frame=n, frames=meta["frames"])
 
 
 def records_from_array(data: np.ndarray, meta: dict,
                        config: AcquisitionConfig | None = None) -> Ensemble:
     """Wrap a loaded array as an Ensemble without copying it."""
     if config is None:
-        n = meta["samples_per_frame"]
-        config = AcquisitionConfig(
-            record_duration=n * meta["sample_interval_s"],
-            samples_per_frame=n,
-            frames=meta["frames"],
-        )
+        config = config_from_meta(meta)
     return Ensemble(samples=data, config=config, theta=meta["theta_rad"])

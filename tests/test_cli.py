@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, config round trip, determinism."""
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -7,9 +8,11 @@ import math
 import numpy as np
 import pytest
 
+from opahd import traceio
 from opahd.cli import main
 from opahd.config import ExperimentConfig
 from opahd.gaussian import pump_curve
+from opahd.signal_chain import frame_chunks
 
 SMALL_CONFIG = {
     "seed": 77,
@@ -82,6 +85,39 @@ class TestSimulate:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         assert run("--config", path, "--out", tmp_path, "simulate") == 2
+
+    def test_non_numeric_stage_parameter_exit_2(self, tmp_path, capsys):
+        bad = dict(SMALL_CONFIG, chain={"stages": [{"kind": "squeeze", "r": "abc"}]})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert run("--config", path, "--out", tmp_path / "out", "simulate") == 2
+        err = capsys.readouterr().err
+        assert "squeeze channel parameter r" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_failure_partway_leaves_no_partial_trace(self, tmp_path, config_path,
+                                                     monkeypatch):
+        cfg = json.loads(config_path.read_text())
+        cfg["acquisition"]["frames"] = 300      # three synthesis chunks of 512 samples
+        config_path.write_text(json.dumps(cfg))
+        kept = tmp_path / "kept"
+        assert run("--config", config_path, "--out", kept, "simulate") == 0
+        before = (kept / "signal.trace").read_bytes()
+
+        def disk_full_after_one_chunk(*args, **kwargs):
+            chunks = frame_chunks(*args, **kwargs)
+            yield next(chunks)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("opahd.cli.frame_chunks", disk_full_after_one_chunk)
+        fresh = tmp_path / "fresh"
+        assert run("--config", config_path, "--out", fresh, "simulate") == 4
+        assert list(fresh.iterdir()) == []
+        assert run("--config", config_path, "--out", kept, "simulate") == 4
+        assert (kept / "signal.trace").read_bytes() == before
+        assert sorted(p.name for p in kept.iterdir()) == [
+            "shot.trace", "signal.trace", "summary.json"]
 
     def test_unparseable_config_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -167,6 +203,21 @@ class TestAnalyze:
         bad.write_bytes(b"not a trace file at all, nothing to see")
         assert run("--config", config_path, "--out", tmp_path,
                    "analyze", bad, bad) == 2
+
+
+    @pytest.mark.parametrize("bad", ["signal.trace", "shot.trace"])
+    def test_non_finite_sample_exit_2_before_any_output(self, tmp_path, config_path,
+                                                         capsys, bad):
+        traces = tmp_path / "traces"
+        assert run("--config", config_path, "--out", traces, "simulate") == 0
+        with open(traces / bad, "r+b") as fh:
+            fh.seek(traceio.HEADER_SIZE + 8 * 1000)
+            fh.write(np.array([np.nan], dtype="<f8").tobytes())
+        out = tmp_path / "out"
+        assert run("--config", config_path, "--out", out, "analyze",
+                   traces / "signal.trace", traces / "shot.trace") == 2
+        assert f"{traces / bad}: non-finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestFit:

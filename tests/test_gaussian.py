@@ -192,6 +192,16 @@ class TestChannelSpecValidation:
         with pytest.raises(ValueError):
             ChannelSpec("psa", {"gain_db": 10.0})
 
+    @pytest.mark.parametrize("value", ["abc", None, [1.0], "nan", math.inf])
+    def test_non_numeric_param_names_stage(self, value):
+        with pytest.raises(ValueError, match="squeeze channel parameter r"):
+            ChannelSpec("squeeze", {"r": value})
+
+    def test_numeric_params_become_floats(self):
+        spec = ChannelSpec("psa", {"gain_db": 35, "eta_opa": "0.79"})
+        assert spec.params == {"gain_db": 35.0, "eta_opa": 0.79}
+        assert all(type(v) is float for v in spec.params.values())
+
     def test_source_chain_infeasible_levels(self):
         with pytest.raises(ValueError):
             source_chain_for_levels(6.0, 5.0)  # product below uncertainty bound

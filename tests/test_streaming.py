@@ -1,0 +1,133 @@
+"""Streamed simulate and analyze: bounded memory, and the same results as the
+whole-ensemble route and the plain per-group reference."""
+import contextlib
+import io
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from opahd import traceio
+from opahd.analysis import (FFT_CHUNK_FRAMES, FrameStats, averaged_fft, histogram,
+                            level_from_variances, pooled_histogram, variance_level)
+from opahd.cli import main
+from opahd.gaussian import ChainModel, loss, psa, squeeze
+from opahd.signal_chain import AcquisitionConfig, FrequencyResponse, synthesize_frames
+
+# A bound on each command's peak traced allocation that does not grow with the
+# frame count: half of one 512-frame ensemble (16 MiB at 4096 samples).
+PEAK_BOUND_BYTES = 8 << 20
+
+
+@pytest.mark.parametrize("frames", [64, 512])
+def test_peak_memory_independent_of_frames(tmp_path, frames):
+    config = {
+        "seed": 3,
+        "chain": {"stages": [{"kind": "squeeze", "r": 1.0},
+                             {"kind": "psa", "gain_db": 35.0, "eta_opa": 0.79},
+                             {"kind": "loss", "eta": 0.076}]},
+        "acquisition": {"record_duration_ns": 25.6, "samples_per_frame": 4096,
+                        "frames": frames, "clearance_at_43ghz_db": 20.0},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    for command in (["simulate"],
+                    ["analyze", tmp_path / "signal.trace", tmp_path / "shot.trace"]):
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([str(a) for a in ("--config", path, "--out", tmp_path, *command)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < PEAK_BOUND_BYTES, f"{command[0]} peaked at {peak} bytes"
+
+
+def reference_power_sum(block, win):
+    """averaged_fft's power sum as one sum(axis=0) per FFT_CHUNK_FRAMES-row group."""
+    total = np.zeros(block.shape[1] // 2 + 1)
+    for i in range(0, len(block), FFT_CHUNK_FRAMES):
+        total += (np.abs(np.fft.rfft(block[i:i + FFT_CHUNK_FRAMES] * win, axis=1)) ** 2
+                  ).sum(axis=0)
+    return total
+
+
+def streamed(path, window):
+    with traceio.TraceReader(path) as reader:
+        stats = FrameStats(reader.acquisition, reader.meta["frames"], window)
+        for chunk in reader.chunks():
+            stats.add(chunk)
+        edges, counts = pooled_histogram(reader.chunks(), 200, stats.lo, stats.hi)
+    return stats, edges, counts
+
+
+# 300 frames are a multiple neither of the read chunk (131 rows of 1000
+# samples by default, 7 with the small budget) nor of FFT_CHUNK_FRAMES.
+@pytest.mark.parametrize("read_chunk_bytes", [traceio.READ_CHUNK_BYTES, 7 * 8000])
+@pytest.mark.parametrize("window", ["rectangular", "hann"])
+def test_streamed_route_matches_whole_ensemble_bit_for_bit(tmp_path, monkeypatch,
+                                                          read_chunk_bytes, window):
+    monkeypatch.setattr(traceio, "READ_CHUNK_BYTES", read_chunk_bytes)
+    acq = AcquisitionConfig(record_duration=6.25e-9, samples_per_frame=1000, frames=300,
+                            clearance_at_43ghz_db=20.0)
+    chain = ChainModel(stages=(squeeze(1.0), psa(35.0, 0.79), loss(0.076)))
+    resp = FrequencyResponse()
+    sig = synthesize_frames(chain, resp, acq, master_seed=5)
+    shot = synthesize_frames(chain.without_squeezing(), resp, acq, master_seed=6)
+    traceio.write_traces(tmp_path / "signal.trace", sig)
+    traceio.write_traces(tmp_path / "shot.trace", shot)
+    data, meta = traceio.read_traces(tmp_path / "signal.trace")
+    assert np.array_equal(data, sig.samples)
+    assert meta["frames"] == 300
+
+    stats_sig, edges, counts = streamed(tmp_path / "signal.trace", window)
+    stats_shot, _, _ = streamed(tmp_path / "shot.trace", window)
+
+    whole = averaged_fft(sig, window=window)
+    spec = stats_sig.spectrum()
+    assert np.array_equal(spec.power, whole.power)
+    assert np.array_equal(spec.freqs, whole.freqs)
+    win = np.ones(1000) if window == "rectangular" else np.hanning(1000)
+    expected = reference_power_sum(sig.samples, win) * (
+        1.0 / (acq.sample_rate * np.sum(win ** 2)) / len(sig))
+    expected[1:-1] *= 2.0
+    assert np.array_equal(whole.power, expected)
+
+    assert np.array_equal(stats_sig.variances, sig.samples.var(axis=1))
+    assert (level_from_variances(stats_sig.variances, stats_shot.variances)
+            == variance_level(sig, shot))
+
+    ref_counts, ref_edges = np.histogram(sig.samples.ravel(), bins=200)
+    assert np.array_equal(counts, ref_counts)
+    assert np.array_equal(edges, ref_edges)
+    whole_edges, whole_counts = histogram(sig, bins=200)
+    assert np.array_equal(whole_counts, ref_counts)
+    assert np.array_equal(whole_edges, ref_edges)
+
+
+def test_frame_stats_rejects_more_frames_than_announced():
+    acq = AcquisitionConfig(record_duration=6.25e-9, samples_per_frame=1000, frames=2)
+    stats = FrameStats(acq, 2)
+    stats.add(np.zeros((2, 1000)))
+    with pytest.raises(ValueError):
+        stats.add(np.zeros((1, 1000)))
+
+
+def test_trace_writer_rejects_a_short_file(tmp_path):
+    acq = AcquisitionConfig(record_duration=6.25e-9, samples_per_frame=1000, frames=3)
+    path = tmp_path / "short.trace"
+    with pytest.raises(ValueError):
+        with traceio.trace_writer(path, acq, 0.0, 3) as write:
+            write(np.zeros((2, 1000)))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_trace_writer_rejects_frame_counts_the_header_cannot_hold(tmp_path):
+    acq = AcquisitionConfig(record_duration=6.25e-9, samples_per_frame=1000, frames=1)
+    for frames in (0, 2 ** 32):
+        with pytest.raises(ValueError):
+            with traceio.trace_writer(tmp_path / "big.trace", acq, 0.0, frames):
+                pass
+    assert list(tmp_path.iterdir()) == []
