@@ -3,14 +3,16 @@ pump-power curve fitting, and the post-amplifier loss sweep."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fitting import FitConvergenceError, levenberg_marquardt
 from .gaussian import ChainModel, ChannelSpec, relative_quadrature_power
-from .signal_chain import (AcquisitionConfig, Ensemble, FrequencyResponse,
-                           synthesize_frames)
+# synthesize_frames stays importable from here beside the whole-ensemble API.
+from .signal_chain import (AcquisitionConfig, Ensemble, FrequencyResponse,  # noqa: F401
+                           shared_frame_chunks, synthesize_frames)
 
 # Oscilloscope artifact region excluded from plateau statistics by default.
 DEFAULT_MASK_CENTER_HZ = 34e9
@@ -344,21 +346,36 @@ def loss_sweep(chain_base: ChainModel, added_loss_grid: list[float],
 
     The oracle route propagates the chain in closed form; the optional Monte
     Carlo route synthesizes traces and measures the level from frame variances.
+    Every point's signal ensemble is drawn from master_seed and its shot
+    ensemble from master_seed + 1, so all points share those two seeds' streams
+    (common random numbers): each frame's noise is drawn once and shaped for
+    every point in turn. Only the points × mc_frames per-frame variances are
+    kept, so memory is O(chunk) + 16 · points · mc_frames bytes.
     """
     if any(not 0.0 <= x < 1.0 for x in added_loss_grid):
         raise ValueError("added loss values must be in [0, 1)")
-    rows = []
-    for gain_db in gains_db:
-        for added in added_loss_grid:
-            chain = _modified_chain(chain_base, gain_db, added)
-            oracle_db = 10.0 * math.log10(relative_quadrature_power(chain, 0.0))
-            mc_db = None
-            if monte_carlo:
-                resp_ = resp or FrequencyResponse()
-                acq_ = acq or AcquisitionConfig(frames=mc_frames)
-                sig = synthesize_frames(chain, resp_, acq_, 0.0, master_seed, mc_frames)
-                shot = synthesize_frames(chain.without_squeezing(), resp_, acq_, 0.0,
-                                         master_seed + 1, mc_frames)
-                mc_db, _ = variance_level(sig, shot)
-            rows.append(LossSweepRow(gain_db, added, oracle_db, mc_db))
-    return rows
+    if monte_carlo and (not isinstance(mc_frames, numbers.Integral) or mc_frames < 2):
+        raise ValueError(f"mc_frames must be an integer >= 2, got {mc_frames!r}")
+    points = [(gain_db, added) for gain_db in gains_db for added in added_loss_grid]
+    chains = [_modified_chain(chain_base, gain_db, added) for gain_db, added in points]
+    oracle_db = [10.0 * math.log10(relative_quadrature_power(c, 0.0)) for c in chains]
+    mc_db = [None] * len(chains)
+    if monte_carlo and chains:
+        resp_ = resp or FrequencyResponse()
+        acq_ = acq or AcquisitionConfig(frames=mc_frames)
+        v_sig = _sweep_variances(chains, resp_, acq_, master_seed, mc_frames)
+        v_shot = _sweep_variances([c.without_squeezing() for c in chains], resp_, acq_,
+                                  master_seed + 1, mc_frames)
+        mc_db = [level_from_variances(s, t)[0] for s, t in zip(v_sig, v_shot)]
+    return [LossSweepRow(gain_db, added, o, m)
+            for (gain_db, added), o, m in zip(points, oracle_db, mc_db)]
+
+
+def _sweep_variances(chains: list[ChainModel], resp: FrequencyResponse,
+                     acq: AcquisitionConfig, master_seed: int, frames: int) -> np.ndarray:
+    """Per-frame variances, chains × frames, of each chain's ensemble at θ = 0,
+    all drawn from the streams of one master seed."""
+    out = np.empty((len(chains), frames))
+    for start, j, chunk in shared_frame_chunks(chains, resp, acq, 0.0, master_seed, frames):
+        out[j, start:start + len(chunk)] = frame_variances(chunk)
+    return out

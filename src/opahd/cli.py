@@ -12,6 +12,12 @@ is written to a temporary file beside it and moved into place only when
 complete. JSON outputs never contain NaN or infinity, and analyze rejects a
 trace file with a non-finite sample (exit 2) before writing any output.
 
+sweep-loss --monte-carlo shares the signal and shot seeds' per-frame streams
+across all points (common random numbers): each frame's noise is drawn once
+and shaped for every point, and only per-frame variances are kept, so its
+memory is O(chunk) + points × mc_frames × 8 bytes per seed. --mc-frames must
+be an integer >= 2 (exit 2 otherwise, before any synthesis).
+
 Exit codes: 0 success, 2 validation/usage error, 3 numeric failure, 4 I/O error.
 """
 from __future__ import annotations

@@ -13,6 +13,10 @@ from dataclasses import dataclass, field, replace
 VACUUM_VARIANCE = 0.5
 # Relative size of the isotropic noise _congruence adds to cover its rounding.
 _ROUNDING_NOISE = 16 * sys.float_info.epsilon
+# Largest squeeze |r|: e^{2|r|} stays within √(float max) and e^{-2|r|} above
+# its reciprocal, which leaves the other half of the exponent range to the
+# rest of the chain (gain, rotations, the products in det V).
+MAX_SQUEEZE_R = math.log(sys.float_info.max) / 4
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,8 @@ class ChannelSpec:
                                  f"number, got {p[k]!r}")
             p[k] = value
         object.__setattr__(self, "params", p)
+        if self.kind == "squeeze" and abs(p["r"]) > MAX_SQUEEZE_R:
+            raise ValueError(f"squeeze r must be within ±{MAX_SQUEEZE_R:.1f}, got {p['r']}")
         if self.kind == "loss" and not 0.0 <= p["eta"] <= 1.0:
             raise ValueError(f"loss eta must be in [0, 1], got {p['eta']}")
         if self.kind == "psa":

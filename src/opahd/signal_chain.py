@@ -193,29 +193,33 @@ def synthesize_frame(chain: ChainModel, resp: FrequencyResponse, acq: Acquisitio
     return TraceRecord(samples=samples, config=acq, theta=th, seed=seed)
 
 
-def frame_chunks(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,
-                 theta: float | None = None, master_seed: int = 0,
-                 n_frames: int | None = None, first_frame: int = 0):
-    """Synthesize frames chunk by chunk with per-frame independent RNG streams.
+def shared_frame_chunks(chains, resp: FrequencyResponse, acq: AcquisitionConfig,
+                        theta: float | None = None, master_seed: int = 0,
+                        n_frames: int | None = None, first_frame: int = 0):
+    """Synthesize the ensembles of several chains that share one master seed,
+    chunk by chunk, with per-frame independent RNG streams.
 
-    Yields successive rows × samples_per_frame chunks, together n_frames rows
-    (default acq.frames). σ(f) is computed once; each chunk holds about
-    SYNTHESIS_CHUNK_BYTES of spectrum, each row drawn from its own stream, so
-    every row equals synthesize_frame's frame for that seed byte for byte.
-    first_frame offsets the frame indices, so an ensemble can be produced in
-    parts that reproduce the exact same streams. Each chunk is a view into a
-    buffer the next chunk overwrites: consume or copy it before advancing.
+    Frame i of every chain comes from the same stream, drawn once: each chunk
+    of rows is drawn, then shaped by each chain's σ(f) in turn (common random
+    numbers). Yields (start, j, chunk) for each chunk and, within it, each
+    chain j in order: the rows start.. of chain j, together n_frames rows per
+    chain (default acq.frames). theta defaults to each chain's LO phase. Each
+    chunk holds about SYNTHESIS_CHUNK_BYTES of spectrum, and every row equals
+    synthesize_frame's frame for that chain and seed byte for byte. first_frame
+    offsets the frame indices, so an ensemble can be produced in parts that
+    reproduce the exact same streams. Each chunk is a view into a buffer the
+    next one overwrites: consume or copy it before advancing.
     """
-    th = chain.lo_phase if theta is None else theta
     count = acq.frames if n_frames is None else n_frames
     n = acq.samples_per_frame
-    sigma = _synthesis_sigma(chain, resp, acq, th)
-    nbins = len(sigma)
+    nbins = n + 1
     # Amplitudes of the real and imaginary draws; DC and Nyquist are real.
-    amp = np.empty((2, nbins))
-    amp[:, 1:-1] = sigma[1:-1] / math.sqrt(2.0)
-    amp[0, [0, -1]] = sigma[[0, -1]]
-    amp[1, [0, -1]] = 0.0
+    amp = np.empty((len(chains), 2, nbins))
+    for a, chain in zip(amp, chains):
+        sigma = _synthesis_sigma(chain, resp, acq, chain.lo_phase if theta is None else theta)
+        a[:, 1:-1] = sigma[1:-1] / math.sqrt(2.0)
+        a[0, [0, -1]] = sigma[[0, -1]]
+        a[1, [0, -1]] = 0.0
     rows = max(1, min(count, SYNTHESIS_CHUNK_BYTES // (16 * nbins)))
     noise = np.empty((rows, 2, nbins))
     spec = np.empty((rows, nbins), dtype=np.complex128)
@@ -225,10 +229,21 @@ def frame_chunks(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionCon
         for r in range(k):
             rng = np.random.default_rng(frame_seed(master_seed, first_frame + start + r))
             rng.standard_normal(out=noise[r])      # re, then im
-        np.multiply(amp[0], noise[:k, 0], out=spec.real[:k])
-        np.multiply(amp[1], noise[:k, 1], out=spec.imag[:k])
-        np.fft.irfft(spec[:k], n=2 * n, axis=1, out=full[:k])
-        yield full[:k, n:]
+        for j, a in enumerate(amp):
+            np.multiply(a[0], noise[:k, 0], out=spec.real[:k])
+            np.multiply(a[1], noise[:k, 1], out=spec.imag[:k])
+            np.fft.irfft(spec[:k], n=2 * n, axis=1, out=full[:k])
+            yield start, j, full[:k, n:]
+
+
+def frame_chunks(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,
+                 theta: float | None = None, master_seed: int = 0,
+                 n_frames: int | None = None, first_frame: int = 0):
+    """The chunks of one chain's frames: shared_frame_chunks for that chain
+    alone (same arguments), yielding each rows × samples_per_frame chunk."""
+    for _, _, chunk in shared_frame_chunks((chain,), resp, acq, theta, master_seed,
+                                           n_frames, first_frame):
+        yield chunk
 
 
 def synthesize_frames(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,

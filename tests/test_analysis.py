@@ -306,6 +306,12 @@ class TestLossSweep:
         with pytest.raises(ValueError):
             loss_sweep(sweep_chain(), [1.0])
 
+    @pytest.mark.parametrize("frames", [0, 1, -3, 2.5, True, "16"])
+    def test_mc_frames_validation(self, frames):
+        with pytest.raises(ValueError, match="mc_frames"):
+            loss_sweep(sweep_chain(), [0.0], gains_db=(35.0,), monte_carlo=True,
+                       acq=small_acq(), mc_frames=frames)
+
 
 class TestArtifactMask:
     def test_excludes_window(self):

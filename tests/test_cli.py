@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from opahd import traceio
+from opahd import signal_chain, traceio
 from opahd.cli import main
 from opahd.config import ExperimentConfig
 from opahd.gaussian import pump_curve
@@ -93,6 +93,20 @@ class TestSimulate:
         assert run("--config", path, "--out", tmp_path / "out", "simulate") == 2
         err = capsys.readouterr().err
         assert "squeeze channel parameter r" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("r", [1e6, -1e6, 178.0])
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep-loss", "--monte-carlo"]])
+    def test_squeeze_r_out_of_range_exit_2(self, tmp_path, capsys, r, command):
+        stages = [dict(SMALL_CONFIG["chain"]["stages"][0], r=r),
+                  *SMALL_CONFIG["chain"]["stages"][1:]]
+        bad = dict(SMALL_CONFIG, chain={"stages": stages})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert run("--config", path, "--out", tmp_path / "out", *command) == 2
+        err = capsys.readouterr().err
+        assert "squeeze r must be within" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -278,6 +292,20 @@ class TestSweepLoss:
     def test_bad_grid_exit_2(self, tmp_path, config_path):
         assert run("--config", config_path, "--out", tmp_path, "sweep-loss",
                    "--added-loss", "0,1.0") == 2
+
+    @pytest.mark.parametrize("frames", ["0", "1", "-3"])
+    def test_too_few_mc_frames_exit_2_before_synthesis(self, tmp_path, config_path,
+                                                        monkeypatch, capsys, frames):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesis started")
+
+        monkeypatch.setattr(signal_chain, "frame_seed", no_synthesis)
+        assert run("--config", config_path, "--out", tmp_path, "sweep-loss",
+                   "--monte-carlo", "--mc-frames", frames) == 2
+        err = capsys.readouterr().err
+        assert "mc_frames must be an integer >= 2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "sweep.csv").exists()
 
 
 class TestPlanWdm:

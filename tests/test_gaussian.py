@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opahd.gaussian import (ChainModel, ChannelSpec, GaussianState, apply_loss,
-                            apply_phase, apply_psa, apply_squeeze,
+from opahd.gaussian import (MAX_SQUEEZE_R, ChainModel, ChannelSpec, GaussianState,
+                            apply_loss, apply_phase, apply_psa, apply_squeeze,
                             effective_efficiency, homodyne_variance, loss,
                             paper_default_chain, phase, post_amplifier_loss,
                             psa, pump_curve, relative_quadrature_power,
@@ -196,6 +196,19 @@ class TestChannelSpecValidation:
     def test_non_numeric_param_names_stage(self, value):
         with pytest.raises(ValueError, match="squeeze channel parameter r"):
             ChannelSpec("squeeze", {"r": value})
+
+    @pytest.mark.parametrize("r", [MAX_SQUEEZE_R, -MAX_SQUEEZE_R])
+    def test_squeeze_r_bound_keeps_chain_finite(self, r):
+        chain = ChainModel(stages=(squeeze(r), phase(0.3), psa(35.0, 0.79), loss(0.076)))
+        state = chain.propagate()
+        assert all(math.isfinite(v) and v > 0 for v in (
+            state.var_x, state.var_p, state.uncertainty_product(),
+            relative_quadrature_power(chain, 0.0)))
+
+    @pytest.mark.parametrize("r", [math.nextafter(MAX_SQUEEZE_R, math.inf), -400.0, 1e6])
+    def test_squeeze_r_beyond_bound_names_stage(self, r):
+        with pytest.raises(ValueError, match="squeeze r must be within"):
+            ChannelSpec("squeeze", {"r": r})
 
     def test_numeric_params_become_floats(self):
         spec = ChannelSpec("psa", {"gain_db": 35, "eta_opa": "0.79"})

@@ -1,5 +1,5 @@
-"""Streamed simulate and analyze: bounded memory, and the same results as the
-whole-ensemble route and the plain per-group reference."""
+"""Streamed simulate, analyze and Monte-Carlo loss sweep: bounded memory, and
+the same results as the whole-ensemble route and the plain per-group reference."""
 import contextlib
 import io
 import json
@@ -8,9 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opahd import traceio
-from opahd.analysis import (FFT_CHUNK_FRAMES, FrameStats, averaged_fft, histogram,
-                            level_from_variances, pooled_histogram, variance_level)
+from opahd import signal_chain, traceio
+from opahd.analysis import (FFT_CHUNK_FRAMES, FrameStats, _modified_chain, averaged_fft,
+                            histogram, level_from_variances, loss_sweep, pooled_histogram,
+                            variance_level)
 from opahd.cli import main
 from opahd.gaussian import ChainModel, loss, psa, squeeze
 from opahd.signal_chain import AcquisitionConfig, FrequencyResponse, synthesize_frames
@@ -131,3 +132,56 @@ def test_trace_writer_rejects_frame_counts_the_header_cannot_hold(tmp_path):
             with traceio.trace_writer(tmp_path / "big.trace", acq, 0.0, frames):
                 pass
     assert list(tmp_path.iterdir()) == []
+
+
+SWEEP_CHAIN = ChainModel(stages=(squeeze(1.0), psa(35.0, 0.79), loss(0.076)))
+# 512-sample frames with the electrical floor on: 127 rows per synthesis chunk
+# by default, 7 with the small budget; 300 frames is a multiple of neither.
+SWEEP_ACQ = AcquisitionConfig(record_duration=3.2e-9, samples_per_frame=512, frames=300,
+                              clearance_at_43ghz_db=20.0)
+
+
+@pytest.mark.parametrize("chunk_bytes", [signal_chain.SYNTHESIS_CHUNK_BYTES, 7 * 16 * 513])
+def test_monte_carlo_sweep_matches_per_point_ensembles_bit_for_bit(monkeypatch, chunk_bytes):
+    monkeypatch.setattr(signal_chain, "SYNTHESIS_CHUNK_BYTES", chunk_bytes)
+    resp = FrequencyResponse()
+    rows = loss_sweep(SWEEP_CHAIN, [0.0, 0.3, 0.9], (0.0, 35.0), monte_carlo=True,
+                      resp=resp, acq=SWEEP_ACQ, mc_frames=300, master_seed=11)
+    assert len(rows) == 6
+    for row in rows:
+        chain = _modified_chain(SWEEP_CHAIN, row.gain_db, row.added_loss)
+        sig = synthesize_frames(chain, resp, SWEEP_ACQ, 0.0, 11, 300)
+        shot = synthesize_frames(chain.without_squeezing(), resp, SWEEP_ACQ, 0.0, 12, 300)
+        assert row.squeezing_db_mc == variance_level(sig, shot)[0]
+
+
+def test_monte_carlo_sweep_draws_each_frame_once_per_seed(monkeypatch):
+    calls = []
+    frame_seed = signal_chain.frame_seed
+
+    def counting(master_seed, frame_index):
+        calls.append((master_seed, frame_index))
+        return frame_seed(master_seed, frame_index)
+
+    monkeypatch.setattr(signal_chain, "frame_seed", counting)
+    loss_sweep(SWEEP_CHAIN, [0.0, 0.3, 0.9], (0.0, 35.0), monte_carlo=True,
+               acq=SWEEP_ACQ, mc_frames=37, master_seed=4)
+    assert sorted(calls) == [(seed, i) for seed in (4, 5) for i in range(37)]
+
+
+# A bound on the sweep's peak traced allocation that does not grow with
+# mc_frames: under one 128-frame ensemble (12.8 MB at 12512 samples).
+SWEEP_PEAK_BOUND_BYTES = 8 << 20
+
+
+@pytest.mark.parametrize("mc_frames", [16, 128])
+def test_monte_carlo_sweep_memory_independent_of_frames(mc_frames):
+    acq = AcquisitionConfig(frames=mc_frames, clearance_at_43ghz_db=20.0)
+    tracemalloc.start()
+    try:
+        loss_sweep(SWEEP_CHAIN, [0.0, 0.5], (0.0, 35.0), monte_carlo=True,
+                   resp=FrequencyResponse(), acq=acq, mc_frames=mc_frames, master_seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < SWEEP_PEAK_BOUND_BYTES, f"peaked at {peak} bytes"
