@@ -1,8 +1,7 @@
 """Simulation and analysis toolkit for OPA-assisted broadband homodyne
 measurement of squeezed light."""
 
-from .gaussian import (ChainModel, ChannelSpec, GaussianState, apply_loss,
-                       apply_phase, apply_psa, apply_squeeze,
+from .gaussian import (ChainModel, ChannelSpec, GaussianState,
                        effective_efficiency, homodyne_variance, loss,
                        paper_default_chain, phase, post_amplifier_loss, psa,
                        pump_curve, relative_quadrature_power,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -99,11 +98,6 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _write_json(path: Path, obj: dict) -> None:
-    with traceio.atomic_output(path) as fh:
-        fh.write(json.dumps(obj, indent=2, allow_nan=False) + "\n")
-
-
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     acq = cfg.acquisition
@@ -131,7 +125,7 @@ def cmd_simulate(args) -> int:
         }
     summary = {"schema_version": 1, "master_seed": cfg.seed,
                "config": cfg.to_dict(), "traces": results}
-    _write_json(out / "summary.json", summary)
+    traceio.write_json(out / "summary.json", summary)
     print(f"wrote {out / 'signal.trace'}, {out / 'shot.trace'}, {out / 'summary.json'}")
     return EXIT_OK
 
@@ -178,7 +172,7 @@ def cmd_analyze(args) -> int:
         writer.writerow(["freq_hz", "power_rel", "power_db"])
         for f, p in zip(rel.freqs, rel.power):
             writer.writerow([f"{f:.6e}", f"{p:.9e}", f"{10 * math.log10(p):.6f}"])
-    _write_json(out / "levels.json", report)
+    traceio.write_json(out / "levels.json", report)
     with traceio.atomic_output(out / "histogram.csv", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin_left", "bin_right", "count"])
@@ -224,7 +218,7 @@ def cmd_fit(args) -> int:
         "cost": result.cost,
         "iterations": result.n_iter,
     }
-    _write_json(out / "fit.json", report)
+    traceio.write_json(out / "fit.json", report)
     floor = report["squeezing_floor_db"]
     floor_txt = f"{floor:.2f} dB floor" if floor is not None else "lossless"
     print(f"loss fraction L = {result.big_l:.4f} ({floor_txt}), "

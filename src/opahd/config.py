@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .gaussian import ChainModel, ChannelSpec
 from .signal_chain import AcquisitionConfig, FrequencyResponse
+from .traceio import write_json
 
 SCHEMA_VERSION = 1
 
@@ -30,6 +31,12 @@ def _in_unit(value: float, scale: float) -> float:
         if cand * scale == value:
             return cand
     return x
+
+
+def _fields(raw: dict, **keys) -> dict:
+    """Keyword arguments {field: conversion(raw[key])} for the keys present in
+    raw, so that an omitted key takes the field's dataclass default."""
+    return {name: convert(raw[key]) for key, (name, convert) in keys.items() if key in raw}
 
 
 @dataclass(frozen=True)
@@ -91,34 +98,30 @@ class ExperimentConfig:
                 params = {k: v for k, v in st.items() if k != "kind"}
                 stages.append(ChannelSpec(st["kind"], params))
             chain = ChainModel(stages=tuple(stages),
-                               lo_phase=float(chain_raw.get("lo_phase_rad", 0.0)))
-            acq_raw = raw.get("acquisition", {})
-            acq_defaults = AcquisitionConfig()
-            clearance = acq_raw.get(
-                "clearance_at_43ghz_db", acq_defaults.clearance_at_43ghz_db)
-            acquisition = AcquisitionConfig(
-                record_duration=float(acq_raw.get("record_duration_ns", 78.2)) * 1e-9,
-                samples_per_frame=int(acq_raw.get("samples_per_frame", 12512)),
-                frames=int(acq_raw.get("frames", 8192)),
-                photocurrent=float(acq_raw.get("photocurrent_ma", 3.0)) * 1e-3,
-                clearance_at_43ghz_db=None if clearance is None else float(clearance),
-            )
-            resp_raw = raw.get("response", {})
-            response = FrequencyResponse(
-                detector_f3db=float(resp_raw.get("detector_f3db_ghz", 43.0)) * 1e9,
-                scope_cutoff=float(resp_raw.get("scope_cutoff_ghz", 63.0)) * 1e9,
-                filter_order=int(resp_raw.get("filter_order", 4)),
-            )
+                               **_fields(chain_raw, lo_phase_rad=("lo_phase", float)))
+            acquisition = AcquisitionConfig(**_fields(
+                raw.get("acquisition", {}),
+                record_duration_ns=("record_duration", lambda v: float(v) * 1e-9),
+                samples_per_frame=("samples_per_frame", int),
+                frames=("frames", int),
+                photocurrent_ma=("photocurrent", lambda v: float(v) * 1e-3),
+                clearance_at_43ghz_db=("clearance_at_43ghz_db",
+                                       lambda v: None if v is None else float(v))))
+            response = FrequencyResponse(**_fields(
+                raw.get("response", {}),
+                detector_f3db_ghz=("detector_f3db", lambda v: float(v) * 1e9),
+                scope_cutoff_ghz=("scope_cutoff", lambda v: float(v) * 1e9),
+                filter_order=("filter_order", int)))
             analysis = AnalysisOptions(**raw.get("analysis", {}))
             return cls(chain=chain, acquisition=acquisition, response=response,
-                       analysis=analysis, seed=int(raw.get("seed", 0)))
+                       analysis=analysis, **_fields(raw, seed=("seed", int)))
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"invalid configuration: {err}") from err
 
     def dump(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":

@@ -11,20 +11,20 @@ import sys
 from dataclasses import dataclass, field, replace
 
 VACUUM_VARIANCE = 0.5
-# Relative size of the isotropic noise _congruence adds to cover its rounding.
+# Relative size of the isotropic noise a linear map adds to cover its rounding.
 _ROUNDING_NOISE = 16 * sys.float_info.epsilon
 # Largest squeeze |r|: e^{2|r|} stays within √(float max) and e^{-2|r|} above
 # its reciprocal, which leaves the other half of the exponent range to the
 # rest of the chain (gain, rotations, the products in det V).
 MAX_SQUEEZE_R = math.log(sys.float_info.max) / 4
+# Largest psa gain: the same exponent budget, G = 10^(gain_db/10) ≤ e^{2·MAX_SQUEEZE_R}.
+MAX_GAIN_DB = 20 * MAX_SQUEEZE_R / math.log(10)
 
 
 @dataclass(frozen=True)
 class GaussianState:
-    """First and second moments of one bosonic mode's quadratures."""
+    """Covariance of one mode's quadratures; a homodyne noise level needs no means."""
 
-    mean_x: float = 0.0
-    mean_p: float = 0.0
     var_x: float = VACUUM_VARIANCE
     var_p: float = VACUUM_VARIANCE
     cov_xp: float = 0.0
@@ -47,74 +47,58 @@ def vacuum() -> GaussianState:
     return GaussianState()
 
 
-def _congruence(state: GaussianState, m00: float, m01: float,
-                m10: float, m11: float) -> GaussianState:
-    """Apply the linear map M to means and M V Mᵀ to the covariance.
+# A channel V → X V Xᵀ + Y (Weedbrook et al., RMP 84, 621 (2012), §II) is an
+# affine map on the covariance entries (var_x, cov_xp, var_p): a 3×3
+# coefficient table, then an offset y on both variances, or None when Y = 0.
+# The coefficients are formed as below so that each stage rounds as it always
+# has: a loss scales V by η itself, never by √η·√η.
+
+def _linear(m00: float, m01: float, m10: float, m11: float) -> tuple:
+    """The map V → M V Mᵀ."""
+    return ((m00 * m00, 2 * m00 * m01, m01 * m01),
+            (m00 * m10, m00 * m11 + m01 * m10, m01 * m11),
+            (m10 * m10, 2 * m10 * m11, m11 * m11)), None
+
+
+def _scale(g: float) -> tuple:
+    """X → g·X, P → P/g: a squeeze for g < 1, a noiseless gain for g > 1."""
+    return _linear(g, 0.0, 0.0, 1.0 / g)
+
+
+def _rotation(theta: float) -> tuple:
+    c, s = math.cos(theta), math.sin(theta)
+    return _linear(c, -s, s, c)
+
+
+def _loss(eta: float) -> tuple:
+    """Beamsplitter loss of transmissivity eta mixing in vacuum:
+    V → η·V + (1 − η)/2·I."""
+    return ((eta, 0.0, 0.0), (0.0, eta, 0.0), (0.0, 0.0, eta)), (1.0 - eta) * VACUUM_VARIANCE
+
+
+_IDENTITY = _linear(1.0, 0.0, 0.0, 1.0)
+
+
+def _fold(maps, vx: float, c: float, vp: float) -> tuple:
+    """Apply maps in order to the entries (var_x, cov_xp, var_p).
 
     Once V has an off-diagonal part, det V = vx·vp − c² is a difference of
-    terms up to tr(V)², so rounding in M V Mᵀ can leave the stored state a few
-    ulps of tr(V)² below the uncertainty bound. Adding isotropic noise of
-    _ROUNDING_NOISE·tr(V) to both variances, a valid classical-noise channel,
-    outweighs that error and keeps the rounded state physical. A covariance
-    that stays diagonal is rounded only relatively, and the identity map not
-    at all; neither gets noise.
+    terms up to tr(V)², so rounding in a linear map can leave the stored
+    state a few ulps of tr(V)² below the uncertainty bound. Adding isotropic
+    noise of _ROUNDING_NOISE·tr(V) to both variances, a valid classical-noise
+    channel, outweighs that error and keeps the rounded state physical. A
+    covariance that stays diagonal is rounded only relatively and gets no
+    noise, nor does a loss, which scales every entry alike by η.
     """
-    vx, vp, c = state.var_x, state.var_p, state.cov_xp
-    var_x = m00 * m00 * vx + 2 * m00 * m01 * c + m01 * m01 * vp
-    var_p = m10 * m10 * vx + 2 * m10 * m11 * c + m11 * m11 * vp
-    cov_xp = m00 * m10 * vx + (m00 * m11 + m01 * m10) * c + m01 * m11 * vp
-    if cov_xp != 0.0 and (m00, m01, m10, m11) != (1.0, 0.0, 0.0, 1.0):
-        noise = _ROUNDING_NOISE * (var_x + var_p)
-        var_x += noise
-        var_p += noise
-    return GaussianState(
-        mean_x=m00 * state.mean_x + m01 * state.mean_p,
-        mean_p=m10 * state.mean_x + m11 * state.mean_p,
-        var_x=var_x,
-        var_p=var_p,
-        cov_xp=cov_xp,
-    )
-
-
-def apply_squeeze(state: GaussianState, r: float) -> GaussianState:
-    """Squeeze X for r > 0: var_x scales by e^{-2r}, var_p by e^{+2r}."""
-    e = math.exp(-r)
-    return _congruence(state, e, 0.0, 0.0, 1.0 / e)
-
-
-def apply_phase(state: GaussianState, theta: float) -> GaussianState:
-    """Rotate the quadrature frame by theta radians."""
-    c, s = math.cos(theta), math.sin(theta)
-    return _congruence(state, c, -s, s, c)
-
-
-def apply_loss(state: GaussianState, eta: float) -> GaussianState:
-    """Beamsplitter loss of transmissivity eta mixing in vacuum."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must be in [0, 1], got {eta}")
-    rt = math.sqrt(eta)
-    v = (1.0 - eta) * VACUUM_VARIANCE
-    return GaussianState(
-        mean_x=rt * state.mean_x,
-        mean_p=rt * state.mean_p,
-        var_x=eta * state.var_x + v,
-        var_p=eta * state.var_p + v,
-        cov_xp=eta * state.cov_xp,
-    )
-
-
-def apply_psa(state: GaussianState, gain_db: float, eta_opa: float) -> GaussianState:
-    """Phase-sensitive amplifier: internal loss eta_opa, then noiseless
-    X → √G·X, P → P/√G with G = 10^(gain_db/10).
-
-    The internal loss precedes the gain, so the amplifier's own vacuum
-    contribution is amplified along with the signal.
-    """
-    if gain_db < 0:
-        raise ValueError(f"gain_db must be >= 0, got {gain_db}")
-    g_amp = 10.0 ** (gain_db / 20.0)  # amplitude gain √G
-    lossy = apply_loss(state, eta_opa)
-    return _congruence(lossy, g_amp, 0.0, 0.0, 1.0 / g_amp)
+    for (rx, rc, rp), y in maps:
+        vx, c, vp = (rx[0] * vx + rx[1] * c + rx[2] * vp,
+                     rc[0] * vx + rc[1] * c + rc[2] * vp,
+                     rp[0] * vx + rp[1] * c + rp[2] * vp)
+        if y is None:
+            y = _ROUNDING_NOISE * (vx + vp) if c != 0.0 else 0.0
+        vx += y
+        vp += y
+    return vx, c, vp
 
 
 @dataclass(frozen=True)
@@ -122,27 +106,36 @@ class ChannelSpec:
     """One stage of the measurement chain.
 
     kind is one of "squeeze", "loss", "phase", "psa"; params holds the
-    stage parameters keyed by name (r, eta, theta, gain_db/eta_opa).
+    stage parameters keyed by name (r, eta, theta, gain_db/eta_opa). A psa is
+    an internal loss eta_opa followed by noiseless X → √G·X, P → P/√G with
+    G = 10^(gain_db/10), so its own vacuum contribution is amplified along
+    with the signal. maps is the stage compiled to covariance maps.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
+    maps: tuple = field(init=False, repr=False, compare=False)
 
-    _REQUIRED = {
-        "squeeze": ("r",),
-        "loss": ("eta",),
-        "phase": ("theta",),
-        "psa": ("gain_db", "eta_opa"),
+    # Per kind: each parameter with its closed range, then the stage's maps
+    # built from the parameters in that order.
+    _KINDS = {
+        "squeeze": ((("r", -MAX_SQUEEZE_R, MAX_SQUEEZE_R),),
+                    lambda r: (_scale(math.exp(-r)),)),
+        "loss": ((("eta", 0.0, 1.0),), lambda eta: (_loss(eta),)),
+        "phase": ((("theta", -math.inf, math.inf),), lambda theta: (_rotation(theta),)),
+        "psa": ((("gain_db", 0.0, MAX_GAIN_DB), ("eta_opa", 0.0, 1.0)),
+                lambda gain_db, eta_opa: (_loss(eta_opa), _scale(10.0 ** (gain_db / 20.0)))),
     }
 
     def __post_init__(self):
-        if self.kind not in self._REQUIRED:
+        if self.kind not in self._KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
-        missing = [k for k in self._REQUIRED[self.kind] if k not in self.params]
+        ranges, build = self._KINDS[self.kind]
+        missing = [k for k, _, _ in ranges if k not in self.params]
         if missing:
             raise ValueError(f"{self.kind} channel missing parameters {missing}")
         p = dict(self.params)
-        for k in self._REQUIRED[self.kind]:
+        for k, lo, hi in ranges:
             try:
                 value = float(p[k])
             except (TypeError, ValueError):
@@ -150,27 +143,18 @@ class ChannelSpec:
             if not math.isfinite(value):
                 raise ValueError(f"{self.kind} channel parameter {k} must be a finite "
                                  f"number, got {p[k]!r}")
+            if not lo <= value <= hi:
+                raise ValueError(f"{self.kind} {k} must be within [{lo:.6g}, {hi:.6g}], "
+                                 f"got {value}")
             p[k] = value
         object.__setattr__(self, "params", p)
-        if self.kind == "squeeze" and abs(p["r"]) > MAX_SQUEEZE_R:
-            raise ValueError(f"squeeze r must be within ±{MAX_SQUEEZE_R:.1f}, got {p['r']}")
-        if self.kind == "loss" and not 0.0 <= p["eta"] <= 1.0:
-            raise ValueError(f"loss eta must be in [0, 1], got {p['eta']}")
-        if self.kind == "psa":
-            if p["gain_db"] < 0:
-                raise ValueError(f"psa gain_db must be >= 0, got {p['gain_db']}")
-            if not 0.0 <= p["eta_opa"] <= 1.0:
-                raise ValueError(f"psa eta_opa must be in [0, 1], got {p['eta_opa']}")
+        # An identity map changes nothing and must not add rounding noise.
+        maps = build(*(p[k] for k, _, _ in ranges))
+        object.__setattr__(self, "maps", tuple(m for m in maps if m != _IDENTITY))
 
     def apply(self, state: GaussianState) -> GaussianState:
-        p = self.params
-        if self.kind == "squeeze":
-            return apply_squeeze(state, p["r"])
-        if self.kind == "loss":
-            return apply_loss(state, p["eta"])
-        if self.kind == "phase":
-            return apply_phase(state, p["theta"])
-        return apply_psa(state, p["gain_db"], p["eta_opa"])
+        vx, c, vp = _fold(self.maps, state.var_x, state.cov_xp, state.var_p)
+        return GaussianState(var_x=vx, var_p=vp, cov_xp=c)
 
 
 def squeeze(r: float) -> ChannelSpec:
@@ -201,12 +185,22 @@ class ChainModel:
         for st in self.stages:
             if not isinstance(st, ChannelSpec):
                 raise TypeError("chain stages must be ChannelSpec instances")
+        # Stages each within range can still overflow together. The shot
+        # reference's maps are folded here: building it as a ChainModel would
+        # run this check again without end.
+        for name, shot in (("chain", False), ("shot reference chain", True)):
+            maps = [m for s in self.stages if not (shot and s.kind == "squeeze") for m in s.maps]
+            vx, c, vp = _fold(maps, VACUUM_VARIANCE, 0.0, VACUUM_VARIANCE)
+            det = vx * vp - c * c
+            if not (vx > 0 and det > 0 and math.isfinite(vx + vp) and math.isfinite(det)):
+                raise ValueError(f"{name} propagates vacuum to a covariance that is not "
+                                 f"finite and positive definite")
 
     def propagate(self, state: GaussianState | None = None) -> GaussianState:
         out = vacuum() if state is None else state
-        for st in self.stages:
-            out = st.apply(out)
-        return out
+        vx, c, vp = _fold([m for s in self.stages for m in s.maps],
+                          out.var_x, out.cov_xp, out.var_p)
+        return GaussianState(var_x=vx, var_p=vp, cov_xp=c)
 
     def without_squeezing(self) -> "ChainModel":
         """The shot-noise reference chain: same stages, squeezer pump off."""

@@ -13,6 +13,7 @@ Binary layout: 64-byte little-endian header, then frames × samples float64.
 """
 from __future__ import annotations
 
+import json
 import os
 import struct
 from contextlib import contextmanager
@@ -48,6 +49,12 @@ def atomic_output(path: str | Path, mode: str = "w", **open_args):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, obj: dict) -> None:
+    """Write obj as indented JSON through atomic_output, refusing NaN."""
+    with atomic_output(path) as fh:
+        fh.write(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 @contextmanager

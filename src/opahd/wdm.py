@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .traceio import atomic_output
+
 MEASUREMENT_BANDWIDTH_HZ = 43e9  # detection chain 3-dB bandwidth
 
 
@@ -94,12 +96,12 @@ def plan_bands(carrier_f: float = 194.0e12, channel_spacing: float = 100e9,
 
 
 def write_plan_json(path: str | Path, plan: BandPlan) -> None:
-    Path(path).write_text(
-        json.dumps({"schema_version": 1, **plan.to_dict()}, indent=2, allow_nan=False))
+    with atomic_output(path) as fh:
+        fh.write(json.dumps({"schema_version": 1, **plan.to_dict()}, indent=2, allow_nan=False))
 
 
 def write_plan_csv(path: str | Path, plan: BandPlan) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pair_index", "lower_hz", "upper_hz", "width_hz"])
         for i, (lo, hi) in enumerate(plan.pairs):

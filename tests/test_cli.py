@@ -5,14 +5,19 @@ import hashlib
 import json
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opahd import signal_chain, traceio
 from opahd.cli import main
-from opahd.config import ExperimentConfig
-from opahd.gaussian import pump_curve
-from opahd.signal_chain import frame_chunks
+from opahd.config import AnalysisOptions, ExperimentConfig
+from opahd.gaussian import ChainModel, loss, phase, psa, pump_curve, squeeze
+from opahd.signal_chain import AcquisitionConfig, FrequencyResponse, frame_chunks
+from opahd.wdm import plan_bands, write_plan_csv, write_plan_json
 
 SMALL_CONFIG = {
     "seed": 77,
@@ -107,6 +112,25 @@ class TestSimulate:
         assert run("--config", path, "--out", tmp_path / "out", *command) == 2
         err = capsys.readouterr().err
         assert "squeeze r must be within" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stages, message", [
+        ([{"kind": "psa", "gain_db": 7000, "eta_opa": 0.79}, {"kind": "loss", "eta": 0.076}],
+         "psa gain_db must be within"),
+        ([{"kind": "squeeze", "r": 177}, {"kind": "phase", "theta": 0.3},
+          {"kind": "squeeze", "r": -177}, {"kind": "phase", "theta": 0.3},
+          {"kind": "squeeze", "r": 177}, {"kind": "psa", "gain_db": 35, "eta_opa": 0.79},
+          {"kind": "loss", "eta": 0.076}],
+         "chain propagates vacuum to a covariance that is not finite"),
+    ], ids=["psa-gain", "overflowing-chain"])
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep-loss", "--monte-carlo"]])
+    def test_chain_out_of_range_exit_2(self, tmp_path, capsys, stages, message, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, chain={"stages": stages})))
+        assert run("--config", path, "--out", tmp_path / "out", *command) == 2
+        err = capsys.readouterr().err
+        assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -321,7 +345,69 @@ class TestPlanWdm:
         assert "empty plan" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("write", [
+    lambda path: write_plan_json(path, replace(plan_bands(), carrier_f=math.nan)),
+    lambda path: write_plan_csv(path, replace(plan_bands(), pairs=((1.0, 2.0), ("x", 3.0)))),
+    lambda path: ExperimentConfig(chain=ChainModel(lo_phase=math.nan)).dump(path),
+], ids=["plan.json", "plan.csv", "config.json"])
+def test_failed_write_keeps_old_file(tmp_path, write):
+    path = tmp_path / "out"
+    path.write_text("old\n")
+    with pytest.raises(ValueError):
+        write(path)
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+_stages = st.one_of(
+    st.builds(squeeze, st.floats(-3.0, 3.0)),
+    st.builds(loss, st.floats(0.0, 1.0)),
+    st.builds(phase, st.floats(-math.pi, math.pi)),
+    st.builds(psa, st.floats(0.0, 60.0), st.floats(0.0, 1.0)),
+)
+
+
+def _in(unit: float, lo: float, hi: float):
+    """A value stated in a config file's unit, scaled to SI as from_dict
+    scales it. Not every float64 is such a value: see
+    test_duration_off_the_ns_grid_round_trips."""
+    return st.floats(lo, hi).map(lambda v: v * unit)
+
+
+_configs = st.builds(
+    ExperimentConfig,
+    chain=st.builds(ChainModel, stages=st.lists(_stages, max_size=5).map(tuple),
+                    lo_phase=st.floats(-math.pi, math.pi)),
+    acquisition=st.builds(
+        AcquisitionConfig,
+        record_duration=_in(1e-9, 1e-3, 1e6),
+        samples_per_frame=st.integers(2, 1 << 20),
+        frames=st.integers(1, 1 << 20),
+        photocurrent=_in(1e-3, 1e-3, 1e3),
+        clearance_at_43ghz_db=st.none() | st.floats(-100.0, 100.0)),
+    response=st.builds(FrequencyResponse, detector_f3db=_in(1e9, 1e-3, 1e3),
+                       scope_cutoff=_in(1e9, 1e-3, 1e3), filter_order=st.integers(1, 16)),
+    analysis=st.builds(AnalysisOptions),
+    seed=st.integers(0, 2 ** 63 - 1),
+)
+
+
 class TestConfigRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(_configs)
+    def test_random_config_dump_load(self, tmp_path_factory, cfg):
+        path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+        cfg.dump(path)
+        assert ExperimentConfig.load(path) == cfg
+
+    @pytest.mark.xfail(strict=True, reason="no float64 number of ns times 1e-9 is 1e-12")
+    def test_duration_off_the_ns_grid_round_trips(self):
+        cfg = ExperimentConfig(acquisition=AcquisitionConfig(record_duration=1e-12))
+        assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_omitted_fields_take_dataclass_defaults(self):
+        assert ExperimentConfig.from_dict({}) == ExperimentConfig()
+
     def test_parse_serialize_parse(self):
         cfg = ExperimentConfig.from_dict(SMALL_CONFIG)
         again = ExperimentConfig.from_dict(cfg.to_dict())

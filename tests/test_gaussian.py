@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from opahd.gaussian import (MAX_SQUEEZE_R, ChainModel, ChannelSpec, GaussianState,
-                            apply_loss, apply_phase, apply_psa, apply_squeeze,
-                            effective_efficiency, homodyne_variance, loss,
-                            paper_default_chain, phase, post_amplifier_loss,
+from opahd.gaussian import (MAX_GAIN_DB, MAX_SQUEEZE_R, ChainModel, ChannelSpec,
+                            GaussianState, effective_efficiency, homodyne_variance,
+                            loss, paper_default_chain, phase, post_amplifier_loss,
                             psa, pump_curve, relative_quadrature_power,
                             source_chain_for_levels, squeeze, vacuum)
 
@@ -16,13 +15,13 @@ from opahd.gaussian import (MAX_SQUEEZE_R, ChainModel, ChannelSpec, GaussianStat
 class TestVacuum:
     def test_convention(self):
         v = vacuum()
-        assert (v.mean_x, v.mean_p, v.var_x, v.var_p, v.cov_xp) == (0, 0, 0.5, 0.5, 0)
+        assert (v.var_x, v.var_p, v.cov_xp) == (0.5, 0.5, 0)
 
     def test_loss_fixed_point(self):
-        assert apply_loss(vacuum(), 0.5) == vacuum()
+        assert loss(0.5).apply(vacuum()) == vacuum()
 
     def test_rotation_invariance(self):
-        out = apply_phase(vacuum(), 1.23)
+        out = phase(1.23).apply(vacuum())
         assert out.var_x == pytest.approx(0.5)
         assert out.var_p == pytest.approx(0.5)
         assert out.cov_xp == pytest.approx(0.0, abs=1e-15)
@@ -30,70 +29,64 @@ class TestVacuum:
 
 class TestSqueeze:
     def test_identity(self):
-        s = GaussianState(0.3, -0.2, 0.7, 0.6, 0.1)
-        assert apply_squeeze(s, 0.0) == s
+        s = GaussianState(0.7, 0.6, 0.1)
+        assert squeeze(0.0).apply(s) == s
 
     def test_six_db(self):
         r = 0.3 * math.log(10.0)  # e^{-2r} = 10^{-0.6}
-        out = apply_squeeze(vacuum(), r)
+        out = squeeze(r).apply(vacuum())
         assert out.var_x == pytest.approx(10 ** -0.6 / 2, rel=1e-12)
         assert out.var_p == pytest.approx(10 ** 0.6 / 2, rel=1e-12)
 
     def test_inverse_composition(self):
-        out = apply_squeeze(apply_squeeze(vacuum(), 0.5), -0.5)
+        out = squeeze(-0.5).apply(squeeze(0.5).apply(vacuum()))
         assert out.var_x == pytest.approx(0.5, rel=1e-12)
         assert out.var_p == pytest.approx(0.5, rel=1e-12)
-
-    def test_means_scale(self):
-        s = GaussianState(mean_x=1.0, mean_p=2.0)
-        out = apply_squeeze(s, 1.0)
-        assert out.mean_x == pytest.approx(math.exp(-1.0))
-        assert out.mean_p == pytest.approx(2.0 * math.exp(1.0))
 
 
 class TestLoss:
     def test_identity(self):
-        s = GaussianState(0.3, -0.2, 0.7, 0.6, 0.1)
-        assert apply_loss(s, 1.0) == s
+        s = GaussianState(0.7, 0.6, 0.1)
+        assert loss(1.0).apply(s) == s
 
     def test_full_loss_gives_vacuum(self):
-        s = apply_squeeze(GaussianState(mean_x=2.0), 1.0)
-        assert apply_loss(s, 0.0) == vacuum()
+        s = squeeze(1.0).apply(vacuum())
+        assert loss(0.0).apply(s) == vacuum()
 
     def test_squeezed_mixing(self):
         # direct evaluation of V -> eta V + (1-eta) V_vac
         s = GaussianState(var_x=0.05, var_p=1.3)
-        out = apply_loss(s, 0.71)
+        out = loss(0.71).apply(s)
         assert out.var_x == pytest.approx(0.1805, rel=1e-12)
 
     @pytest.mark.parametrize("eta", [-0.1, 1.1])
     def test_domain(self, eta):
         with pytest.raises(ValueError):
-            apply_loss(vacuum(), eta)
+            loss(eta)
 
 
 class TestPsa:
     def test_identity(self):
-        s = GaussianState(0.1, 0.2, 0.4, 0.8, 0.05)
-        out = apply_psa(s, 0.0, 1.0)
+        s = GaussianState(0.4, 0.8, 0.05)
+        out = psa(0.0, 1.0).apply(s)
         assert out.var_x == pytest.approx(s.var_x, rel=1e-12)
         assert out.var_p == pytest.approx(s.var_p, rel=1e-12)
 
     def test_pure_gain_on_vacuum(self):
-        out = apply_psa(vacuum(), 35.0, 1.0)
+        out = psa(35.0, 1.0).apply(vacuum())
         assert out.var_x == pytest.approx(10 ** 3.5 / 2, rel=1e-12)
         assert out.var_p == pytest.approx(1 / (2 * 10 ** 3.5), rel=1e-12)
 
     def test_internal_loss_before_gain(self):
         # vacuum is loss-invariant, then amplified
-        out = apply_psa(vacuum(), 35.0, 0.79)
+        out = psa(35.0, 0.79).apply(vacuum())
         assert out.var_x == pytest.approx(10 ** 3.5 * 0.5, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            apply_psa(vacuum(), -1.0, 1.0)
+            psa(-1.0, 1.0)
         with pytest.raises(ValueError):
-            apply_psa(vacuum(), 10.0, 1.5)
+            psa(10.0, 1.5)
 
 
 class TestEffectiveEfficiency:
@@ -219,6 +212,55 @@ class TestChannelSpecValidation:
         with pytest.raises(ValueError):
             source_chain_for_levels(6.0, 5.0)  # product below uncertainty bound
 
+    def test_psa_gain_bound_keeps_chain_finite(self):
+        chain = ChainModel(stages=(psa(MAX_GAIN_DB, 0.79), phase(0.3), loss(0.076)))
+        state = chain.propagate()
+        assert all(math.isfinite(v) and v > 0 for v in (
+            state.var_x, state.var_p, state.uncertainty_product(),
+            relative_quadrature_power(chain, 0.0)))
+
+    @pytest.mark.parametrize("gain_db", [math.nextafter(MAX_GAIN_DB, math.inf), 7000.0])
+    def test_psa_gain_beyond_bound_names_stage(self, gain_db):
+        with pytest.raises(ValueError, match="psa gain_db must be within"):
+            psa(gain_db, 0.79)
+
+
+# Stages each within range whose product overflows float64.
+OVERFLOWING_STAGES = (squeeze(177), phase(0.3), squeeze(-177), phase(0.3), squeeze(177))
+# Squeezes that cancel the gains: finite, but its shot reference overflows.
+OVERFLOWING_SHOT_STAGES = (psa(MAX_GAIN_DB, 1.0), squeeze(MAX_SQUEEZE_R)) * 3
+
+
+class TestChainValidation:
+    def test_overflowing_chain_rejected(self):
+        with pytest.raises(ValueError, match="^chain propagates vacuum"):
+            ChainModel(stages=OVERFLOWING_STAGES)
+
+    def test_overflowing_shot_reference_rejected(self):
+        with pytest.raises(ValueError, match="^shot reference chain propagates vacuum"):
+            ChainModel(stages=OVERFLOWING_SHOT_STAGES)
+
+
+# relative_quadrature_power of rotated chains, as float.hex, recorded before
+# the stages were compiled to covariance maps. The golden CLI outputs cover
+# only diagonal chains.
+ROTATED_CHAIN_POWERS = [
+    ((squeeze(1.0), phase(0.3), psa(35.0, 0.79), loss(0.076)), 0.0, 0.0,
+     "0x1.a2d9924fc1c97p-1"),
+    ((squeeze(0.8), phase(-1.1), loss(0.5), phase(0.7)), 0.4, None,
+     "0x1.d2cb52a59300cp+0"),
+    ((squeeze(0.6), psa(9.0, 1.0), psa(30.0, 1.0), phase(1.0)), 0.0, 0.2,
+     "0x1.346c44cf13d86p-2"),
+    ((squeeze(1.2), loss(0.9), phase(0.05), psa(20.0, 0.79), phase(-0.02), loss(0.076)),
+     0.0, math.pi / 2, "0x1.014a08fcd2535p+0"),
+]
+
+
+@pytest.mark.parametrize("stages, lo_phase, theta, expected", ROTATED_CHAIN_POWERS)
+def test_rotated_chain_power_bits(stages, lo_phase, theta, expected):
+    chain = ChainModel(stages=stages, lo_phase=lo_phase)
+    assert relative_quadrature_power(chain, theta).hex() == expected
+
 
 # -- randomized channel properties --
 
@@ -243,6 +285,6 @@ def test_uncertainty_preserved_along_chain(stages):
 @settings(max_examples=100, deadline=None)
 @given(st.floats(-1.2, 1.2), st.floats(0.0, 30.0))
 def test_psa_symplectic_when_lossless(r, gain_db):
-    state = apply_squeeze(vacuum(), r)
-    out = apply_psa(state, gain_db, 1.0)
+    state = squeeze(r).apply(vacuum())
+    out = psa(gain_db, 1.0).apply(state)
     assert out.var_x * out.var_p == pytest.approx(state.var_x * state.var_p, rel=1e-9)
