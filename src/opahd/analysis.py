@@ -21,8 +21,9 @@ DEFAULT_MASK_WIDTH_HZ = 1e9
 # group's partial sum and each full group into the total; this order fixes
 # spectrum.csv's bytes.
 FFT_CHUNK_FRAMES = 256
-# Bytes of spectrum per chunk of rows FrameStats transforms at a time.
-FFT_CHUNK_BYTES = 1 << 20
+# Bytes of spectrum per chunk of rows FrameStats transforms at a time, half
+# of 1 MiB because analyze reduces two files at once.
+FFT_CHUNK_BYTES = 1 << 19
 # Bytes of samples per chunk of frame_variances, small enough that its
 # temporaries stay in cache. Per-frame results do not depend on it.
 VARIANCE_CHUNK_BYTES = 1 << 19

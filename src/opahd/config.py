@@ -39,6 +39,14 @@ def _fields(raw: dict, **keys) -> dict:
     return {name: convert(raw[key]) for key, (name, convert) in keys.items() if key in raw}
 
 
+def _section(raw: dict, key: str) -> dict:
+    """The object raw[key], empty when the key is omitted."""
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be an object")
+    return section
+
+
 @dataclass(frozen=True)
 class AnalysisOptions:
     mask_center_ghz: float = 34.0
@@ -51,6 +59,9 @@ class AnalysisOptions:
             raise ConfigError("histogram_bins must be >= 2")
         if self.mask_width_ghz < 0:
             raise ConfigError("mask_width_ghz must be >= 0")
+        if self.window not in ("rectangular", "hann"):
+            raise ConfigError(f"analysis window must be 'rectangular' or 'hann', "
+                              f"got {self.window!r}")
 
 
 @dataclass(frozen=True)
@@ -92,15 +103,19 @@ class ExperimentConfig:
             version = raw.get("schema_version", SCHEMA_VERSION)
             if version != SCHEMA_VERSION:
                 raise ConfigError(f"unsupported schema_version {version}")
-            chain_raw = raw.get("chain", {})
+            chain_raw = _section(raw, "chain")
+            stages_raw = chain_raw.get("stages", [])
+            if not (isinstance(stages_raw, list)
+                    and all(isinstance(st, dict) for st in stages_raw)):
+                raise ConfigError("chain.stages must be a list of objects")
             stages = []
-            for st in chain_raw.get("stages", []):
+            for st in stages_raw:
                 params = {k: v for k, v in st.items() if k != "kind"}
                 stages.append(ChannelSpec(st["kind"], params))
             chain = ChainModel(stages=tuple(stages),
                                **_fields(chain_raw, lo_phase_rad=("lo_phase", float)))
             acquisition = AcquisitionConfig(**_fields(
-                raw.get("acquisition", {}),
+                _section(raw, "acquisition"),
                 record_duration_ns=("record_duration", lambda v: float(v) * 1e-9),
                 samples_per_frame=("samples_per_frame", int),
                 frames=("frames", int),
@@ -108,11 +123,11 @@ class ExperimentConfig:
                 clearance_at_43ghz_db=("clearance_at_43ghz_db",
                                        lambda v: None if v is None else float(v))))
             response = FrequencyResponse(**_fields(
-                raw.get("response", {}),
+                _section(raw, "response"),
                 detector_f3db_ghz=("detector_f3db", lambda v: float(v) * 1e9),
                 scope_cutoff_ghz=("scope_cutoff", lambda v: float(v) * 1e9),
                 filter_order=("filter_order", int)))
-            analysis = AnalysisOptions(**raw.get("analysis", {}))
+            analysis = AnalysisOptions(**_section(raw, "analysis"))
             return cls(chain=chain, acquisition=acquisition, response=response,
                        analysis=analysis, **_fields(raw, seed=("seed", int)))
         except ConfigError:

@@ -19,6 +19,9 @@ _ROUNDING_NOISE = 16 * sys.float_info.epsilon
 MAX_SQUEEZE_R = math.log(sys.float_info.max) / 4
 # Largest psa gain: the same exponent budget, G = 10^(gain_db/10) ≤ e^{2·MAX_SQUEEZE_R}.
 MAX_GAIN_DB = 20 * MAX_SQUEEZE_R / math.log(10)
+# Trace headers store the LO phase as an int64 count of µrad, so |θ|·1e6 must
+# stay below 2**63.
+MAX_LO_PHASE_URAD = 2.0 ** 63
 
 
 @dataclass(frozen=True)
@@ -181,6 +184,10 @@ class ChainModel:
     lo_phase: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo_phase) and abs(self.lo_phase * 1e6) < MAX_LO_PHASE_URAD):
+            raise ValueError(f"lo_phase_rad must be finite and within "
+                             f"±{MAX_LO_PHASE_URAD / 1e6:.4g} rad (an int64 count of µrad), "
+                             f"got {self.lo_phase!r}")
         object.__setattr__(self, "stages", tuple(self.stages))
         for st in self.stages:
             if not isinstance(st, ChannelSpec):

@@ -15,8 +15,9 @@ from .gaussian import ChainModel, relative_quadrature_power
 
 REFERENCE_PHOTOCURRENT_A = 3.0e-3
 # Size of the complex spectrum buffer frame_chunks reuses for each chunk of
-# frames; its noise and irfft buffers are about as large.
-SYNTHESIS_CHUNK_BYTES = 1 << 20
+# frames; its noise and irfft buffers are about as large. simulate runs two
+# streams at once, so this is half of the 1 MiB that one stream would take.
+SYNTHESIS_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,9 @@ MAGIC = b"SQZTRACE"
 VERSION = 1
 HEADER_SIZE = 64
 _HEADER_FMT = "<8sIIIQq28x"
-# Bytes of samples per chunk TraceReader.chunks reads into its one buffer.
-READ_CHUNK_BYTES = 1 << 20
+# Bytes of samples per chunk TraceReader.chunks reads into its one buffer;
+# analyze reads two files at once, so each gets half of 1 MiB.
+READ_CHUNK_BYTES = 1 << 19
 
 
 class TraceFormatError(ValueError):

@@ -4,6 +4,8 @@ import errno
 import hashlib
 import json
 import math
+import os
+import threading
 
 from dataclasses import replace
 
@@ -134,6 +136,38 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("theta", [1e300, -1e300, math.nan, math.inf, 9.3e12])
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep-loss", "--monte-carlo"]])
+    def test_lo_phase_out_of_range_exit_2(self, tmp_path, capsys, theta, command):
+        chain = dict(SMALL_CONFIG["chain"], lo_phase_rad=theta)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, chain=chain)))
+        assert run("--config", path, "--out", tmp_path / "out", *command) == 2
+        err = capsys.readouterr().err
+        assert "lo_phase_rad must be finite and within ±9.223e+12 rad" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, message", [
+        ({"chain": {"stages": "abc"}}, "chain.stages must be a list of objects"),
+        ({"chain": {"stages": {"kind": "loss", "eta": 0.5}}},
+         "chain.stages must be a list of objects"),
+        ({"chain": {"stages": [["loss", 0.5]]}}, "chain.stages must be a list of objects"),
+        ({"chain": "abc"}, "chain must be an object"),
+        ({"acquisition": "abc"}, "acquisition must be an object"),
+        ({"analysis": {"window": "foo"}},
+         "analysis window must be 'rectangular' or 'hann', got 'foo'"),
+    ], ids=["stages-string", "stages-object", "stage-list", "chain-string",
+            "acquisition-string", "window"])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, section, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, **section}))
+        assert run("--config", path, "--out", tmp_path / "out", "simulate") == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_failure_partway_leaves_no_partial_trace(self, tmp_path, config_path,
                                                      monkeypatch):
         cfg = json.loads(config_path.read_text())
@@ -156,6 +190,47 @@ class TestSimulate:
         assert (kept / "signal.trace").read_bytes() == before
         assert sorted(p.name for p in kept.iterdir()) == [
             "shot.trace", "signal.trace", "summary.json"]
+
+    def test_shot_failure_on_worker_stops_signal(self, tmp_path, config_path, monkeypatch,
+                                                 capsys):
+        """The shot stream runs out of disk space on the worker thread. The
+        signal stream, held after its first chunk until the worker has ended,
+        stops at its next chunk; the command exits 4 without a traceback, and
+        neither a trace nor a temporary file is left."""
+        cfg = json.loads(config_path.read_text())
+        cfg["acquisition"]["frames"] = 300      # five synthesis chunks of 512 samples
+        config_path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr("opahd.cli.THREADED_SYNTHESIS_MIN_SAMPLES", 512)
+        shot_failed = threading.Event()
+        shot_thread = []
+        signal_chunks = []
+
+        def failing_shot(*args, master_seed, **kwargs):
+            chunks = frame_chunks(*args, master_seed=master_seed, **kwargs)
+            if master_seed == cfg["seed"]:
+                for chunk in chunks:
+                    signal_chunks.append(len(chunk))
+                    yield chunk
+                    assert shot_failed.wait(timeout=10)
+                    shot_thread[0].join(timeout=10)
+            else:
+                yield next(chunks)
+                shot_thread.append(threading.current_thread())
+                shot_failed.set()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("opahd.cli.frame_chunks", failing_shot)
+        out = tmp_path / "out"
+        assert run("--config", config_path, "--out", out, "simulate") == 4
+        err = capsys.readouterr().err
+        assert "I/O error: [Errno 28] No space left on device" in err
+        assert "Traceback" not in err
+        assert shot_thread[0] is not threading.main_thread()
+        assert not shot_thread[0].is_alive()
+        # Stopped at its first or second chunk, whichever followed the failure.
+        assert len(signal_chunks) <= 2
+        assert list(out.iterdir()) == []
 
     def test_unparseable_config_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -201,6 +276,32 @@ def test_outputs_match_golden_sha256(tmp_path):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in GOLDEN_SHA256}
     assert digests == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("cpus, min_samples, threads", [
+    ({0}, 1000, {"frame_chunks": 1, "chunks": 1}),
+    ({0, 1}, 1000, {"frame_chunks": 2, "chunks": 2}),
+    ({0, 1}, 2048, {"frame_chunks": 1, "chunks": 2}),
+], ids=["one-cpu", "two-cpus", "two-cpus-short-frames"])
+def test_golden_sha256_serial_and_concurrent(tmp_path, monkeypatch, cpus, min_samples,
+                                             threads):
+    """The pinned outputs, with simulate's and analyze's two streams on one
+    thread and on two. The golden frames have 1000 samples, which simulate
+    synthesizes on one thread unless the frame-length gate is lowered."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr("opahd.cli.THREADED_SYNTHESIS_MIN_SAMPLES", min_samples)
+    idents = {"frame_chunks": set(), "chunks": set()}
+
+    def on_thread(fn):
+        def recorded(*args, **kwargs):
+            idents[fn.__name__].add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr("opahd.cli.frame_chunks", on_thread(frame_chunks))
+    monkeypatch.setattr(traceio.TraceReader, "chunks", on_thread(traceio.TraceReader.chunks))
+    test_outputs_match_golden_sha256(tmp_path)
+    assert {name: len(ids) for name, ids in idents.items()} == threads
 
 
 class TestAnalyze:
@@ -348,7 +449,8 @@ class TestPlanWdm:
 @pytest.mark.parametrize("write", [
     lambda path: write_plan_json(path, replace(plan_bands(), carrier_f=math.nan)),
     lambda path: write_plan_csv(path, replace(plan_bands(), pairs=((1.0, 2.0), ("x", 3.0)))),
-    lambda path: ExperimentConfig(chain=ChainModel(lo_phase=math.nan)).dump(path),
+    lambda path: ExperimentConfig(
+        acquisition=AcquisitionConfig(clearance_at_43ghz_db=math.nan)).dump(path),
 ], ids=["plan.json", "plan.csv", "config.json"])
 def test_failed_write_keeps_old_file(tmp_path, write):
     path = tmp_path / "out"

@@ -104,7 +104,7 @@ class TestSynthesis:
     def test_rows_match_per_frame_reference(self, n):
         # three chunks of batched synthesis, the last one ragged
         rows = SYNTHESIS_CHUNK_BYTES // (16 * (n + 1))
-        count = 2 * rows + rows // 2 + 1
+        count = 2 * rows + (rows + 1) // 2
         assert count % rows != 0
         resp, acq = FrequencyResponse(), small_acq(frames=count, n=n, clearance=20.0)
         chain = paper_default_chain()

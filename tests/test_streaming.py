@@ -3,7 +3,12 @@ the same results as the whole-ensemble route and the plain per-group reference."
 import contextlib
 import io
 import json
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +49,35 @@ def test_peak_memory_independent_of_frames(tmp_path, frames):
             tracemalloc.stop()
         assert code == 0
         assert peak < PEAK_BOUND_BYTES, f"{command[0]} peaked at {peak} bytes"
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts page faults under glibc's malloc")
+def test_page_faults_independent_of_frames(tmp_path):
+    """A fresh simulate or analyze at the paper's frame shape takes its minor
+    page faults at start-up, not per chunk: its per-chunk temporaries are
+    reused from the heap once main has raised glibc's mmap threshold. Without
+    that, each added frame costs simulate about 40 faults here."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    faults = {}
+    for frames in (40, 200):
+        config = {"chain": {"stages": [{"kind": "squeeze", "r": 1.0},
+                                       {"kind": "psa", "gain_db": 35.0, "eta_opa": 0.79},
+                                       {"kind": "loss", "eta": 0.076}]},
+                  "acquisition": {"frames": frames}}    # 12512 samples in 78.2 ns
+        path = tmp_path / f"{frames}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / str(frames)
+        for command in (["simulate"], ["analyze", out / "signal.trace", out / "shot.trace"]):
+            child = subprocess.Popen([sys.executable, "-m", "opahd.cli", "--config", path,
+                                      "--out", out, *command],
+                                     env=env, stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)     # reaped here
+            assert child.returncode == 0
+            faults[command[0], frames] = usage.ru_minflt
+    for command in ("simulate", "analyze"):
+        assert faults[command, 200] - faults[command, 40] < 5 * 160, faults
 
 
 def reference_power_sum(block, win):
