@@ -12,31 +12,46 @@ from .fitting import FitConvergenceError, levenberg_marquardt
 from .gaussian import ChainModel, ChannelSpec, relative_quadrature_power
 # synthesize_frames stays importable from here beside the whole-ensemble API.
 from .signal_chain import (AcquisitionConfig, Ensemble, FrequencyResponse,  # noqa: F401
-                           shared_frame_chunks, synthesize_frames)
+                           chunk_rows, shared_frame_chunks, synthesize_frames)
 
-# Oscilloscope artifact region excluded from plateau statistics by default.
-DEFAULT_MASK_CENTER_HZ = 34e9
-DEFAULT_MASK_WIDTH_HZ = 1e9
 # Frames per group of the Welch power sum. Rows are added one by one into a
 # group's partial sum and each full group into the total; this order fixes
 # spectrum.csv's bytes.
 FFT_CHUNK_FRAMES = 256
-# Bytes of spectrum per chunk of rows FrameStats transforms at a time, half
-# of 1 MiB because analyze reduces two files at once.
-FFT_CHUNK_BYTES = 1 << 19
-# Bytes of samples per chunk of frame_variances, small enough that its
-# temporaries stay in cache. Per-frame results do not depend on it.
-VARIANCE_CHUNK_BYTES = 1 << 19
+# The window each analysis.window name gives, as a function of the frame length.
+WINDOWS = {"rectangular": np.ones, "hann": np.hanning}
+
+
+@dataclass(frozen=True)
+class AnalysisOptions:
+    """analyze's settings: the scope artifact's mask, histogram bins, FFT window."""
+
+    mask_center_ghz: float = 34.0
+    mask_width_ghz: float = 1.0
+    histogram_bins: int = 200
+    window: str = "rectangular"
+
+    def __post_init__(self):
+        if not (isinstance(self.histogram_bins, numbers.Integral)
+                and self.histogram_bins >= 2):
+            raise ValueError(f"histogram_bins must be an integer >= 2, "
+                             f"got {self.histogram_bins!r}")
+        mask = (self.mask_center_ghz, self.mask_width_ghz)
+        if not (all(isinstance(v, numbers.Real) and math.isfinite(v) for v in mask)
+                and self.mask_width_ghz >= 0):
+            raise ValueError(f"mask_center_ghz and mask_width_ghz must be finite and "
+                             f"mask_width_ghz >= 0, got {mask!r}")
+        if self.window not in WINDOWS:
+            raise ValueError(f"analysis window must be {' or '.join(map(repr, WINDOWS))}, "
+                             f"got {self.window!r}")
 
 
 @dataclass(frozen=True)
 class SpectrumEstimate:
-    """Frame-averaged one-sided PSD, optionally carrying its shot reference."""
+    """Frame-averaged one-sided PSD on a strictly increasing frequency grid."""
 
     freqs: np.ndarray
     power: np.ndarray
-    frames_averaged: int
-    reference: "SpectrumEstimate | None" = None
 
     def __post_init__(self):
         object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
@@ -62,24 +77,19 @@ class FrameStats:
     """
 
     def __init__(self, config: AcquisitionConfig, frames: int,
-                 window: str = "rectangular"):
+                 window: str = AnalysisOptions.window):
         n = config.samples_per_frame
         nbins = n // 2 + 1
-        if window == "rectangular":
-            win = np.ones(n)
-        elif window == "hann":
-            win = np.hanning(n)
-        else:
-            raise ValueError(f"unknown window {window!r}")
+        win = WINDOWS[window](n)
         self.config = config
-        self._win = None if window == "rectangular" else win   # x * 1.0 is x
+        self._win = None if np.all(win == 1.0) else win   # x * 1.0 is x
         self._scale = 1.0 / (config.sample_rate * np.sum(win ** 2))
         self.count = 0
         self.variances = np.empty(frames)
         self.lo = np.float64(np.inf)
         self.hi = np.float64(-np.inf)
         self._power_sum = np.zeros(nbins)
-        self._rows = max(1, min(FFT_CHUNK_FRAMES, FFT_CHUNK_BYTES // (16 * nbins)))
+        self._rows = chunk_rows(16 * nbins, FFT_CHUNK_FRAMES)
         # Row 0 holds the current group's partial sum, rows 1.. the |X|² of
         # the rows being added to it.
         self._buf = np.zeros((self._rows + 1, nbins))
@@ -124,10 +134,10 @@ class FrameStats:
         power[1:-1] *= 2.0  # fold negative frequencies, one-sided convention
         n = self.config.samples_per_frame
         freqs = np.fft.rfftfreq(n, 1.0 / self.config.sample_rate)
-        return SpectrumEstimate(freqs=freqs, power=power, frames_averaged=self.count)
+        return SpectrumEstimate(freqs=freqs, power=power)
 
 
-def averaged_fft(frames: Ensemble, window: str = "rectangular") -> SpectrumEstimate:
+def averaged_fft(frames: Ensemble, window: str = AnalysisOptions.window) -> SpectrumEstimate:
     """Power-averaged per-frame periodogram (one-sided, PSD units)."""
     if len(frames) == 0:
         raise ValueError("need at least one frame")
@@ -137,19 +147,14 @@ def averaged_fft(frames: Ensemble, window: str = "rectangular") -> SpectrumEstim
 
 
 def relative_level(signal: SpectrumEstimate, shot: SpectrumEstimate) -> SpectrumEstimate:
-    """Bin-wise signal/shot ratio with the reference attached."""
+    """Bin-wise signal/shot ratio."""
     if signal.freqs.shape != shot.freqs.shape or not np.allclose(signal.freqs, shot.freqs):
         raise ValueError("signal and shot spectra must share one frequency grid")
-    return SpectrumEstimate(
-        freqs=signal.freqs,
-        power=signal.power / shot.power,
-        frames_averaged=signal.frames_averaged,
-        reference=shot,
-    )
+    return SpectrumEstimate(freqs=signal.freqs, power=signal.power / shot.power)
 
 
-def artifact_mask(freqs: np.ndarray, center_hz: float = DEFAULT_MASK_CENTER_HZ,
-                  width_hz: float = DEFAULT_MASK_WIDTH_HZ) -> np.ndarray:
+def artifact_mask(freqs: np.ndarray, center_hz: float = AnalysisOptions.mask_center_ghz * 1e9,
+                  width_hz: float = AnalysisOptions.mask_width_ghz * 1e9) -> np.ndarray:
     """Boolean mask, False inside the excluded artifact window."""
     f = np.asarray(freqs)
     return np.abs(f - center_hz) > width_hz / 2.0
@@ -157,7 +162,7 @@ def artifact_mask(freqs: np.ndarray, center_hz: float = DEFAULT_MASK_CENTER_HZ,
 
 def frame_variances(block: np.ndarray) -> np.ndarray:
     """Per-frame sample variance of a frames × samples block."""
-    rows = max(1, VARIANCE_CHUNK_BYTES // (block.shape[1] * block.itemsize))
+    rows = chunk_rows(block.shape[1] * block.itemsize, len(block))
     out = np.empty(len(block))
     for i in range(0, len(block), rows):
         out[i:i + rows] = block[i:i + rows].var(axis=1)
@@ -188,7 +193,7 @@ def level_from_variances(v_sig: np.ndarray, v_shot: np.ndarray) -> tuple[float, 
     return level_db, err_db
 
 
-def histogram(frames: Ensemble, bins: int = 100) -> tuple[np.ndarray, np.ndarray]:
+def histogram(frames: Ensemble, bins: int) -> tuple[np.ndarray, np.ndarray]:
     """Pooled sample histogram across an ensemble of frames."""
     data = frames.samples
     return pooled_histogram([data], bins, data.min(), data.max())

@@ -2,15 +2,19 @@
 
 Global flags: --config PATH, --seed N, --out DIR. Each flag can also be set
 through the environment as OPAHD_CONFIG, OPAHD_SEED, OPAHD_OUT (command
-line wins).
+line wins). An omitted plan-wdm flag, or sweep-loss --gains-db or
+--mc-frames, leaves the default of wdm.plan_bands or analysis.loss_sweep.
 
 simulate and analyze stream: simulate writes each trace file chunk by chunk
 as it synthesizes the frames, and analyze reduces each trace file chunk by
 chunk, with a second pass over the signal file for the histogram. Their
-memory is O(chunk), however many frames a config asks for. Every output file
-is written to a temporary file beside it and moved into place only when
-complete. JSON outputs never contain NaN or infinity, and analyze rejects a
-trace file with a non-finite sample (exit 2) before writing any output.
+memory is O(chunk) (signal_chain.CHUNK_BYTES), however many frames a config
+asks for. Every output file is written to a temporary file beside it and
+moved into place only when complete. JSON outputs never contain NaN or
+infinity. Before writing any output, analyze rejects (exit 2) a trace file
+with a non-finite sample and an artifact mask that leaves no plateau bin.
+Before writing a trace, simulate rejects (exit 2) a record_duration whose
+sample interval the trace header cannot hold (1 fs to 2**64 - 1 fs).
 
 Each of the two commands has two independent streams: simulate synthesizes,
 writes and takes the variances of the signal ensemble (seed) and of the shot
@@ -48,10 +52,10 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis as ana
-from . import traceio, wdm
+from . import signal_chain, traceio, wdm
 from .config import ConfigError, ExperimentConfig
 from .fitting import FitConvergenceError
-from .signal_chain import SYNTHESIS_CHUNK_BYTES, frame_chunks, model_variance
+from .signal_chain import frame_chunks, model_variance
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -63,6 +67,18 @@ ENV_PREFIX = "OPAHD_"
 
 def _env_default(name: str, fallback=None):
     return os.environ.get(ENV_PREFIX + name, fallback)
+
+
+# plan-wdm's flags as (flag, plan_bands argument, the flag's unit in Hz).
+PLAN_FLAGS = (("--carrier-thz", "carrier_f", 1e12),
+              ("--spacing-ghz", "channel_spacing", 1e9),
+              ("--width-ghz", "channel_width", 1e9),
+              ("--bandwidth-thz", "source_bandwidth", 1e12),
+              ("--guard-ghz", "guard", 1e9))
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(",") if x.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,19 +105,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CSV with columns pump_mw, level_db, branch (+1/-1)")
 
     p_sw = sub.add_parser("sweep-loss", help="squeezing level vs loss added after the amplifier")
-    p_sw.add_argument("--added-loss", default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
+    p_sw.add_argument("--added-loss", type=_floats,
+                      default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
                       help="comma-separated added-loss fractions")
-    p_sw.add_argument("--gains-db", default="0,35", help="comma-separated gains (dB)")
+    p_sw.add_argument("--gains-db", type=_floats, default=argparse.SUPPRESS,
+                      help="comma-separated gains (dB)")
     p_sw.add_argument("--monte-carlo", action="store_true",
                       help="also estimate each point from synthesized traces")
-    p_sw.add_argument("--mc-frames", type=int, default=256)
+    p_sw.add_argument("--mc-frames", type=int, default=argparse.SUPPRESS)
 
     p_wdm = sub.add_parser("plan-wdm", help="plan symmetric sideband channel pairs")
-    p_wdm.add_argument("--carrier-thz", type=float, default=194.0)
-    p_wdm.add_argument("--spacing-ghz", type=float, default=100.0)
-    p_wdm.add_argument("--width-ghz", type=float, default=None)
-    p_wdm.add_argument("--bandwidth-thz", type=float, default=6.0)
-    p_wdm.add_argument("--guard-ghz", type=float, default=0.0)
+    for flag, name, _ in PLAN_FLAGS:
+        p_wdm.add_argument(flag, dest=name, type=float, default=argparse.SUPPRESS)
     p_wdm.add_argument("--grid-aligned", action="store_true")
     return parser
 
@@ -122,15 +137,15 @@ def _load_config(args) -> ExperimentConfig:
 THREADED_SYNTHESIS_MIN_SAMPLES = 2048
 
 
-def _two_threads(stream_bytes: int, chunk_bytes: int) -> bool:
+def _two_threads(stream_bytes: int) -> bool:
     """Whether a command runs its two streams on two threads: only when this
-    process may use two CPUs and a stream holds more than chunk_bytes of
+    process may use two CPUs and a stream holds more than one chunk of
     samples. A smaller stream gains nothing and would double its buffers."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:          # the platform cannot say
         cpus = 1
-    return cpus >= 2 and stream_bytes > chunk_bytes
+    return cpus >= 2 and stream_bytes > signal_chain.CHUNK_BYTES
 
 
 class _Stopped(Exception):
@@ -206,7 +221,7 @@ def cmd_simulate(args) -> int:
         partial(_simulate_stream, cfg, out / "shot.trace", cfg.chain.without_squeezing(),
                 cfg.seed + 1),
         acq.samples_per_frame >= THREADED_SYNTHESIS_MIN_SAMPLES
-        and _two_threads(8 * acq.frames * acq.samples_per_frame, SYNTHESIS_CHUNK_BYTES))
+        and _two_threads(8 * acq.frames * acq.samples_per_frame))
     summary = {"schema_version": 1, "master_seed": cfg.seed,
                "config": cfg.to_dict(), "traces": {"signal": signal, "shot": shot}}
     traceio.write_json(out / "summary.json", summary)
@@ -238,12 +253,16 @@ def cmd_analyze(args) -> int:
         (signal, (edges, counts)), shot = _both(
             signal_passes, partial(_first_pass, shot_file, window),
             _two_threads(max(8 * f.meta["frames"] * f.meta["samples_per_frame"]
-                             for f in (sig_file, shot_file)), traceio.READ_CHUNK_BYTES))
+                             for f in (sig_file, shot_file))))
     rel = ana.relative_level(signal.spectrum(), shot.spectrum())
     level_db, err_db = ana.level_from_variances(signal.variances, shot.variances)
-    mask = ana.artifact_mask(rel.freqs, cfg.analysis.mask_center_ghz * 1e9,
-                             cfg.analysis.mask_width_ghz * 1e9)
-    in_band = mask & (rel.freqs <= cfg.response.detector_f3db)
+    center_hz = cfg.analysis.mask_center_ghz * 1e9
+    width_hz = cfg.analysis.mask_width_ghz * 1e9
+    in_band = ana.artifact_mask(rel.freqs, center_hz, width_hz) & (
+        rel.freqs <= cfg.response.detector_f3db)
+    if not in_band.any():
+        raise ValueError("the artifact mask (analysis.mask_center_ghz, mask_width_ghz) "
+                         "covers every bin up to detector_f3db: no plateau is left")
     plateau = rel.power_db()[in_band]
     report = {
         "schema_version": 1,
@@ -253,21 +272,17 @@ def cmd_analyze(args) -> int:
         "plateau_mean_db": float(plateau.mean()),
         "plateau_std_db": float(plateau.std()),
         "plateau_band_hz": [0.0, cfg.response.detector_f3db],
-        "artifact_mask_center_hz": cfg.analysis.mask_center_ghz * 1e9,
-        "artifact_mask_width_hz": cfg.analysis.mask_width_ghz * 1e9,
+        "artifact_mask_center_hz": center_hz,
+        "artifact_mask_width_hz": width_hz,
     }
 
-    with traceio.atomic_output(out / "spectrum.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["freq_hz", "power_rel", "power_db"])
-        for f, p in zip(rel.freqs, rel.power):
-            writer.writerow([f"{f:.6e}", f"{p:.9e}", f"{10 * math.log10(p):.6f}"])
+    traceio.write_csv(out / "spectrum.csv", ["freq_hz", "power_rel", "power_db"],
+                      ([f"{f:.6e}", f"{p:.9e}", f"{10 * math.log10(p):.6f}"]
+                       for f, p in zip(rel.freqs, rel.power)))
     traceio.write_json(out / "levels.json", report)
-    with traceio.atomic_output(out / "histogram.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for left, right, c in zip(edges[:-1], edges[1:], counts):
-            writer.writerow([f"{left:.9e}", f"{right:.9e}", int(c)])
+    traceio.write_csv(out / "histogram.csv", ["bin_left", "bin_right", "count"],
+                      ([f"{left:.9e}", f"{right:.9e}", int(c)]
+                       for left, right, c in zip(edges[:-1], edges[1:], counts)))
 
     print(f"level: {level_db:+.2f} dB +/- {err_db:.2f} dB "
           f"(plateau mean {plateau.mean():+.2f} dB)")
@@ -320,19 +335,15 @@ def cmd_sweep_loss(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    grid = [float(x) for x in args.added_loss.split(",") if x.strip()]
-    gains = [float(x) for x in args.gains_db.split(",") if x.strip()]
-    rows = ana.loss_sweep(cfg.chain, grid, tuple(gains),
-                          monte_carlo=args.monte_carlo,
-                          resp=cfg.response, acq=cfg.acquisition,
-                          mc_frames=args.mc_frames, master_seed=cfg.seed)
-    with traceio.atomic_output(out / "sweep.csv", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gain_db", "added_loss", "squeezing_db_oracle", "squeezing_db_mc"])
-        for row in rows:
-            mc = "" if row.squeezing_db_mc is None else f"{row.squeezing_db_mc:.6f}"
-            writer.writerow([row.gain_db, row.added_loss,
-                             f"{row.squeezing_db_oracle:.6f}", mc])
+    given = {k: v for k, v in vars(args).items() if k in ("gains_db", "mc_frames")}
+    rows = ana.loss_sweep(cfg.chain, args.added_loss, monte_carlo=args.monte_carlo,
+                          resp=cfg.response, acq=cfg.acquisition, master_seed=cfg.seed, **given)
+    traceio.write_csv(
+        out / "sweep.csv",
+        ["gain_db", "added_loss", "squeezing_db_oracle", "squeezing_db_mc"],
+        ([row.gain_db, row.added_loss, f"{row.squeezing_db_oracle:.6f}",
+          "" if row.squeezing_db_mc is None else f"{row.squeezing_db_mc:.6f}"]
+         for row in rows))
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -340,14 +351,9 @@ def cmd_sweep_loss(args) -> int:
 def cmd_plan_wdm(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    plan = wdm.plan_bands(
-        carrier_f=args.carrier_thz * 1e12,
-        channel_spacing=args.spacing_ghz * 1e9,
-        channel_width=None if args.width_ghz is None else args.width_ghz * 1e9,
-        source_bandwidth=args.bandwidth_thz * 1e12,
-        guard=args.guard_ghz * 1e9,
-        grid_aligned=args.grid_aligned,
-    )
+    given = vars(args)
+    plan = wdm.plan_bands(grid_aligned=args.grid_aligned, **{
+        name: given[name] * unit for _, name, unit in PLAN_FLAGS if name in given})
     wdm.write_plan_json(out / "plan.json", plan)
     wdm.write_plan_csv(out / "plan.csv", plan)
     if plan.pairs:

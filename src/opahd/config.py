@@ -10,6 +10,7 @@ import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .analysis import AnalysisOptions
 from .gaussian import ChainModel, ChannelSpec
 from .signal_chain import AcquisitionConfig, FrequencyResponse
 from .traceio import write_json
@@ -33,12 +34,6 @@ def _in_unit(value: float, scale: float) -> float:
     return x
 
 
-def _fields(raw: dict, **keys) -> dict:
-    """Keyword arguments {field: conversion(raw[key])} for the keys present in
-    raw, so that an omitted key takes the field's dataclass default."""
-    return {name: convert(raw[key]) for key, (name, convert) in keys.items() if key in raw}
-
-
 def _section(raw: dict, key: str) -> dict:
     """The object raw[key], empty when the key is omitted."""
     section = raw.get(key, {})
@@ -47,21 +42,37 @@ def _section(raw: dict, key: str) -> dict:
     return section
 
 
-@dataclass(frozen=True)
-class AnalysisOptions:
-    mask_center_ghz: float = 34.0
-    mask_width_ghz: float = 1.0
-    histogram_bins: int = 200
-    window: str = "rectangular"
+# Each section's keys as (JSON key, field, unit or converter), in file order.
+# A unit, the key's unit in SI, loads as float(v) * unit and dumps as
+# _in_unit(value, unit); a converter applies at load only. An omitted key takes
+# the field's default. The analysis keys are AnalysisOptions' fields as they are.
+_TOP_KEYS = (("seed", "seed", int),)
+_CHAIN_KEYS = (("lo_phase_rad", "lo_phase", float),)
+_SECTIONS = {
+    "acquisition": (AcquisitionConfig, (
+        ("record_duration_ns", "record_duration", 1e-9),
+        ("samples_per_frame", "samples_per_frame", int),
+        ("frames", "frames", int),
+        ("photocurrent_ma", "photocurrent", 1e-3),
+        ("clearance_at_43ghz_db", "clearance_at_43ghz_db",
+         lambda v: None if v is None else float(v)),
+    )),
+    "response": (FrequencyResponse, (
+        ("detector_f3db_ghz", "detector_f3db", 1e9),
+        ("scope_cutoff_ghz", "scope_cutoff", 1e9),
+        ("filter_order", "filter_order", int),
+    )),
+}
 
-    def __post_init__(self):
-        if self.histogram_bins < 2:
-            raise ConfigError("histogram_bins must be >= 2")
-        if self.mask_width_ghz < 0:
-            raise ConfigError("mask_width_ghz must be >= 0")
-        if self.window not in ("rectangular", "hann"):
-            raise ConfigError(f"analysis window must be 'rectangular' or 'hann', "
-                              f"got {self.window!r}")
+
+def _dump(obj, keys) -> dict:
+    return {key: _in_unit(getattr(obj, name), unit) if isinstance(unit, float)
+            else getattr(obj, name) for key, name, unit in keys}
+
+
+def _load(raw: dict, keys) -> dict:
+    return {name: float(raw[key]) * unit if isinstance(unit, float) else unit(raw[key])
+            for key, name, unit in keys if key in raw}
 
 
 @dataclass(frozen=True)
@@ -73,27 +84,12 @@ class ExperimentConfig:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        acq = self.acquisition
-        resp = self.response
         return {
             "schema_version": SCHEMA_VERSION,
-            "seed": self.seed,
-            "chain": {
-                "lo_phase_rad": self.chain.lo_phase,
-                "stages": [{"kind": s.kind, **s.params} for s in self.chain.stages],
-            },
-            "acquisition": {
-                "record_duration_ns": _in_unit(acq.record_duration, 1e-9),
-                "samples_per_frame": acq.samples_per_frame,
-                "frames": acq.frames,
-                "photocurrent_ma": _in_unit(acq.photocurrent, 1e-3),
-                "clearance_at_43ghz_db": acq.clearance_at_43ghz_db,
-            },
-            "response": {
-                "detector_f3db_ghz": _in_unit(resp.detector_f3db, 1e9),
-                "scope_cutoff_ghz": _in_unit(resp.scope_cutoff, 1e9),
-                "filter_order": resp.filter_order,
-            },
+            **_dump(self, _TOP_KEYS),
+            "chain": {**_dump(self.chain, _CHAIN_KEYS),
+                      "stages": [{"kind": s.kind, **s.params} for s in self.chain.stages]},
+            **{key: _dump(getattr(self, key), keys) for key, (_, keys) in _SECTIONS.items()},
             "analysis": asdict(self.analysis),
         }
 
@@ -108,28 +104,13 @@ class ExperimentConfig:
             if not (isinstance(stages_raw, list)
                     and all(isinstance(st, dict) for st in stages_raw)):
                 raise ConfigError("chain.stages must be a list of objects")
-            stages = []
-            for st in stages_raw:
-                params = {k: v for k, v in st.items() if k != "kind"}
-                stages.append(ChannelSpec(st["kind"], params))
-            chain = ChainModel(stages=tuple(stages),
-                               **_fields(chain_raw, lo_phase_rad=("lo_phase", float)))
-            acquisition = AcquisitionConfig(**_fields(
-                _section(raw, "acquisition"),
-                record_duration_ns=("record_duration", lambda v: float(v) * 1e-9),
-                samples_per_frame=("samples_per_frame", int),
-                frames=("frames", int),
-                photocurrent_ma=("photocurrent", lambda v: float(v) * 1e-3),
-                clearance_at_43ghz_db=("clearance_at_43ghz_db",
-                                       lambda v: None if v is None else float(v))))
-            response = FrequencyResponse(**_fields(
-                _section(raw, "response"),
-                detector_f3db_ghz=("detector_f3db", lambda v: float(v) * 1e9),
-                scope_cutoff_ghz=("scope_cutoff", lambda v: float(v) * 1e9),
-                filter_order=("filter_order", int)))
-            analysis = AnalysisOptions(**_section(raw, "analysis"))
-            return cls(chain=chain, acquisition=acquisition, response=response,
-                       analysis=analysis, **_fields(raw, seed=("seed", int)))
+            stages = tuple(ChannelSpec(st["kind"], {k: v for k, v in st.items() if k != "kind"})
+                           for st in stages_raw)
+            chain = ChainModel(stages=stages, **_load(chain_raw, _CHAIN_KEYS))
+            sections = {key: section_cls(**_load(_section(raw, key), keys))
+                        for key, (section_cls, keys) in _SECTIONS.items()}
+            return cls(chain=chain, analysis=AnalysisOptions(**_section(raw, "analysis")),
+                       **sections, **_load(raw, _TOP_KEYS))
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as err:

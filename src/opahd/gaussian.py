@@ -289,9 +289,6 @@ def source_chain_for_levels(squeezing_db: float, antisqueezing_db: float) -> Cha
 # Levels measured at 438 mW pump in the reference experiment.
 PAPER_SQUEEZING_DB = 5.2
 PAPER_ANTISQUEEZING_DB = 13.9
-PAPER_GAIN_DB = 35.0
-PAPER_ETA_OPA = 0.79
-PAPER_ETA_HD = 0.076
 
 
 def paper_default_chain() -> ChainModel:

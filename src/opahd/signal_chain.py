@@ -14,10 +14,15 @@ import numpy as np
 from .gaussian import ChainModel, relative_quadrature_power
 
 REFERENCE_PHOTOCURRENT_A = 3.0e-3
-# Size of the complex spectrum buffer frame_chunks reuses for each chunk of
-# frames; its noise and irfft buffers are about as large. simulate runs two
-# streams at once, so this is half of the 1 MiB that one stream would take.
-SYNTHESIS_CHUNK_BYTES = 1 << 19
+# Bytes per chunk of every chunked loop (synthesis, trace reads, averaged FFT,
+# variances). simulate and analyze run two streams at once, so this is half
+# of the 1 MiB that one stream would take.
+CHUNK_BYTES = 1 << 19
+
+
+def chunk_rows(row_bytes: int, limit: int) -> int:
+    """Rows of row_bytes each per CHUNK_BYTES, read at call time, in [1, limit]."""
+    return max(1, min(limit, CHUNK_BYTES // max(row_bytes, 1)))
 
 
 @dataclass(frozen=True)
@@ -60,8 +65,8 @@ class AcquisitionConfig:
     def __post_init__(self):
         if self.record_duration <= 0:
             raise ValueError("record duration must be positive")
-        if self.samples_per_frame < 2:
-            raise ValueError("samples_per_frame must be >= 2")
+        if not 2 <= self.samples_per_frame < 2 ** 32:     # the trace header's uint32
+            raise ValueError("samples_per_frame must be >= 2 and < 2**32")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
         if self.photocurrent <= 0:
@@ -205,7 +210,7 @@ def shared_frame_chunks(chains, resp: FrequencyResponse, acq: AcquisitionConfig,
     numbers). Yields (start, j, chunk) for each chunk and, within it, each
     chain j in order: the rows start.. of chain j, together n_frames rows per
     chain (default acq.frames). theta defaults to each chain's LO phase. Each
-    chunk holds about SYNTHESIS_CHUNK_BYTES of spectrum, and every row equals
+    chunk holds about CHUNK_BYTES of spectrum, and every row equals
     synthesize_frame's frame for that chain and seed byte for byte. first_frame
     offsets the frame indices, so an ensemble can be produced in parts that
     reproduce the exact same streams. Each chunk is a view into a buffer the
@@ -221,7 +226,7 @@ def shared_frame_chunks(chains, resp: FrequencyResponse, acq: AcquisitionConfig,
         a[:, 1:-1] = sigma[1:-1] / math.sqrt(2.0)
         a[0, [0, -1]] = sigma[[0, -1]]
         a[1, [0, -1]] = 0.0
-    rows = max(1, min(count, SYNTHESIS_CHUNK_BYTES // (16 * nbins)))
+    rows = chunk_rows(16 * nbins, count)
     noise = np.empty((rows, 2, nbins))
     spec = np.empty((rows, nbins), dtype=np.complex128)
     full = np.empty((rows, 2 * n))

@@ -13,6 +13,7 @@ Binary layout: 64-byte little-endian header, then frames × samples float64.
 """
 from __future__ import annotations
 
+import csv
 import json
 import os
 import struct
@@ -21,15 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal_chain import AcquisitionConfig, Ensemble
+from .signal_chain import AcquisitionConfig, Ensemble, chunk_rows
 
 MAGIC = b"SQZTRACE"
 VERSION = 1
 HEADER_SIZE = 64
 _HEADER_FMT = "<8sIIIQq28x"
-# Bytes of samples per chunk TraceReader.chunks reads into its one buffer;
-# analyze reads two files at once, so each gets half of 1 MiB.
-READ_CHUNK_BYTES = 1 << 19
 
 
 class TraceFormatError(ValueError):
@@ -58,6 +56,14 @@ def write_json(path: str | Path, obj: dict) -> None:
         fh.write(json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write the header and then each of rows as CSV through atomic_output."""
+    with atomic_output(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 @contextmanager
 def trace_writer(path: str | Path, config: AcquisitionConfig, theta: float, frames: int):
     """Write a trace file of `frames` frames chunk by chunk.
@@ -68,12 +74,14 @@ def trace_writer(path: str | Path, config: AcquisitionConfig, theta: float, fram
     """
     if not 1 <= frames < 2 ** 32:
         raise ValueError(f"a trace file holds 1 to 2**32 - 1 frames, not {frames}")
+    interval_fs = config.sample_interval * 1e15
+    if not 0.5 < interval_fs < 2 ** 64:         # rounds to 1 .. 2**64 - 1 fs
+        raise ValueError(
+            f"record_duration gives a sample interval of {config.sample_interval:.3e} s; "
+            f"the trace header holds 1 fs to 2**64 - 1 fs")
     n = config.samples_per_frame
-    header = struct.pack(
-        _HEADER_FMT, MAGIC, VERSION, n, frames,
-        round(config.sample_interval * 1e15),
-        round(theta * 1e6),
-    )
+    header = struct.pack(_HEADER_FMT, MAGIC, VERSION, n, frames, round(interval_fs),
+                         round(theta * 1e6))
     with atomic_output(path, "wb") as fh:
         fh.write(header)
         written = 0
@@ -158,10 +166,10 @@ class TraceReader:
 
     def chunks(self):
         """Yield the frames in order as rows × samples chunks of about
-        READ_CHUNK_BYTES. Each chunk is a view into one buffer that the next
-        chunk overwrites. Every call starts again from the first frame."""
+        signal_chain.CHUNK_BYTES. Each chunk is a view into one buffer that the
+        next chunk overwrites. Every call starts again from the first frame."""
         n, frames = self.meta["samples_per_frame"], self.meta["frames"]
-        rows = max(1, min(frames, READ_CHUNK_BYTES // max(8 * n, 1)))
+        rows = chunk_rows(8 * n, frames)
         buf = np.empty((rows, n), dtype="<f8")
         self._fh.seek(HEADER_SIZE)
         for start in range(0, frames, rows):

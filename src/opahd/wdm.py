@@ -6,15 +6,15 @@ measurement chain.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .traceio import atomic_output
+from .traceio import atomic_output, write_csv
 
 MEASUREMENT_BANDWIDTH_HZ = 43e9  # detection chain 3-dB bandwidth
+MAX_PAIRS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,15 @@ def plan_bands(carrier_f: float = 194.0e12, channel_spacing: float = 100e9,
     guard + width/2 (skipping the carrier/locking region) and advance by
     the channel spacing; every channel must fit inside the source band.
     With grid_aligned, offsets snap up to multiples of the spacing.
+
+    Every argument must be finite. A plan holds at most MAX_PAIRS = 2**20
+    pairs; a geometry with more is rejected before any pair is built.
     """
+    given = dict(carrier_f=carrier_f, channel_spacing=channel_spacing,
+                 channel_width=channel_width, source_bandwidth=source_bandwidth, guard=guard)
+    for name, value in given.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if carrier_f <= 0 or channel_spacing <= 0:
         raise ValueError("carrier and spacing must be positive")
     if guard < 0:
@@ -72,13 +80,19 @@ def plan_bands(carrier_f: float = 194.0e12, channel_spacing: float = 100e9,
 
     half_band = source_bandwidth / 2.0
     first = guard + width / 2.0
-    if grid_aligned:
+    # An offset of more than float64's range of spacings stays where it is:
+    # snapping it would move it by less than its own rounding.
+    if grid_aligned and math.isfinite(first / channel_spacing):
         first = max(math.ceil(first / channel_spacing - 1e-12), 1) * channel_spacing
 
     # slack absorbs float rounding when the geometry tiles the band exactly
     slack = 1e-9 * max(channel_spacing, 1.0)
     room = half_band - first - width / 2.0
-    count = int(room / channel_spacing + 1e-9) + 1 if room >= -slack else 0
+    steps = room / channel_spacing + 1e-9
+    if steps >= MAX_PAIRS:
+        raise ValueError(f"the source band holds more than {MAX_PAIRS} channel pairs "
+                         f"at a channel_spacing of {channel_spacing:.3e} Hz")
+    count = int(steps) + 1 if room >= -slack else 0
     pairs = [(carrier_f - (first + k * channel_spacing),
               carrier_f + (first + k * channel_spacing)) for k in range(count)]
     diagnostic = "" if pairs else (
@@ -101,8 +115,6 @@ def write_plan_json(path: str | Path, plan: BandPlan) -> None:
 
 
 def write_plan_csv(path: str | Path, plan: BandPlan) -> None:
-    with atomic_output(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pair_index", "lower_hz", "upper_hz", "width_hz"])
-        for i, (lo, hi) in enumerate(plan.pairs):
-            writer.writerow([i, f"{lo:.6f}", f"{hi:.6f}", f"{plan.channel_width:.6f}"])
+    write_csv(path, ["pair_index", "lower_hz", "upper_hz", "width_hz"],
+              ([i, f"{lo:.6f}", f"{hi:.6f}", f"{plan.channel_width:.6f}"]
+               for i, (lo, hi) in enumerate(plan.pairs)))

@@ -86,8 +86,8 @@ class TestRelativeLevel:
         assert np.allclose(10 * np.log10(rel.power), 3.0103, atol=1e-6)
 
     def test_grid_mismatch(self):
-        a = SpectrumEstimate(np.array([1.0, 2.0]), np.array([1.0, 1.0]), 1)
-        b = SpectrumEstimate(np.array([1.0, 3.0]), np.array([1.0, 1.0]), 1)
+        a = SpectrumEstimate(np.array([1.0, 2.0]), np.array([1.0, 1.0]))
+        b = SpectrumEstimate(np.array([1.0, 3.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             relative_level(a, b)
 
@@ -314,6 +314,15 @@ class TestLossSweep:
 
 
 class TestArtifactMask:
+    def test_defaults_are_the_analysis_options(self):
+        from opahd import config
+        from opahd.analysis import AnalysisOptions
+        assert config.AnalysisOptions is AnalysisOptions
+        opts = AnalysisOptions()
+        freqs = np.linspace(30e9, 38e9, 801)
+        assert np.array_equal(artifact_mask(freqs), artifact_mask(
+            freqs, opts.mask_center_ghz * 1e9, opts.mask_width_ghz * 1e9))
+
     def test_excludes_window(self):
         freqs = np.array([33.0e9, 33.6e9, 34.0e9, 34.4e9, 35.0e9])
         mask = artifact_mask(freqs)

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opahd import signal_chain, traceio
+from opahd import analysis as ana
+from opahd import signal_chain, traceio, wdm
 from opahd.cli import main
 from opahd.config import AnalysisOptions, ExperimentConfig
 from opahd.gaussian import ChainModel, loss, phase, psa, pump_curve, squeeze
@@ -157,8 +158,19 @@ class TestSimulate:
         ({"acquisition": "abc"}, "acquisition must be an object"),
         ({"analysis": {"window": "foo"}},
          "analysis window must be 'rectangular' or 'hann', got 'foo'"),
+        ({"analysis": {"histogram_bins": 200.5}},
+         "histogram_bins must be an integer >= 2, got 200.5"),
+        ({"analysis": {"histogram_bins": "200"}},
+         "histogram_bins must be an integer >= 2, got '200'"),
+        ({"analysis": {"mask_center_ghz": math.nan}},
+         "mask_center_ghz and mask_width_ghz must be finite"),
+        ({"analysis": {"mask_width_ghz": math.inf}},
+         "mask_center_ghz and mask_width_ghz must be finite"),
+        ({"acquisition": dict(SMALL_CONFIG["acquisition"], samples_per_frame=2 ** 32)},
+         "samples_per_frame must be >= 2 and < 2**32"),
     ], ids=["stages-string", "stages-object", "stage-list", "chain-string",
-            "acquisition-string", "window"])
+            "acquisition-string", "window", "bins-fraction", "bins-string", "mask-nan",
+            "mask-inf", "samples-2**32"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, section, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**SMALL_CONFIG, **section}))
@@ -167,6 +179,31 @@ class TestSimulate:
         assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    def test_samples_per_frame_past_the_header_exit_2_for_sweep(self, tmp_path, capsys):
+        # At load, before _synthesis_sigma would allocate 2n floats.
+        acquisition = dict(SMALL_CONFIG["acquisition"], samples_per_frame=2 ** 32)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, acquisition=acquisition)))
+        assert run("--config", path, "--out", tmp_path / "out", "sweep-loss",
+                   "--monte-carlo", "--mc-frames", "2") == 2
+        err = capsys.readouterr().err
+        assert "samples_per_frame must be >= 2 and < 2**32" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("duration_ns", [1e19, 1e-9, math.inf, math.nan])
+    def test_sample_interval_the_header_cannot_hold_exit_2(self, tmp_path, capsys,
+                                                           duration_ns):
+        acquisition = dict(SMALL_CONFIG["acquisition"], record_duration_ns=duration_ns)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, acquisition=acquisition)))
+        out = tmp_path / "out"
+        assert run("--config", path, "--out", out, "simulate") == 2
+        err = capsys.readouterr().err
+        assert "record_duration gives a sample interval of" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
 
     def test_failure_partway_leaves_no_partial_trace(self, tmp_path, config_path,
                                                      monkeypatch):
@@ -344,6 +381,20 @@ class TestAnalyze:
                    "analyze", bad, bad) == 2
 
 
+    def test_mask_over_the_whole_plateau_exit_2_before_any_output(self, tmp_path,
+                                                                 config_path, capsys):
+        traces = tmp_path / "traces"
+        assert run("--config", config_path, "--out", traces, "simulate") == 0
+        masked = tmp_path / "masked.json"
+        masked.write_text(json.dumps(dict(SMALL_CONFIG, analysis={"mask_width_ghz": 1e6})))
+        out = tmp_path / "out"
+        assert run("--config", masked, "--out", out, "analyze",
+                   traces / "signal.trace", traces / "shot.trace") == 2
+        err = capsys.readouterr().err
+        assert "mask_center_ghz, mask_width_ghz" in err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("bad", ["signal.trace", "shot.trace"])
     def test_non_finite_sample_exit_2_before_any_output(self, tmp_path, config_path,
                                                          capsys, bad):
@@ -418,6 +469,22 @@ class TestSweepLoss:
         assert run("--config", config_path, "--out", tmp_path, "sweep-loss",
                    "--added-loss", "0,1.0") == 2
 
+    def test_omitted_flags_keep_the_library_defaults(self, tmp_path, config_path,
+                                                     monkeypatch):
+        calls = []
+        sweep = ana.loss_sweep
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(ana, "loss_sweep", recording)
+        assert run("--config", config_path, "--out", tmp_path, "sweep-loss",
+                   "--added-loss", "0,0.5") == 0
+        assert "gains_db" not in calls[0] and "mc_frames" not in calls[0]
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            assert {row["gain_db"] for row in csv.DictReader(fh)} == {"0.0", "35.0"}
+
     @pytest.mark.parametrize("frames", ["0", "1", "-3"])
     def test_too_few_mc_frames_exit_2_before_synthesis(self, tmp_path, config_path,
                                                         monkeypatch, capsys, frames):
@@ -445,13 +512,48 @@ class TestPlanWdm:
         assert run("--out", tmp_path, "plan-wdm", "--bandwidth-thz", "0") == 0
         assert "empty plan" in capsys.readouterr().out
 
+    def test_omitted_flags_keep_the_library_defaults(self, tmp_path, monkeypatch):
+        calls = []
+        plan_bands_ = wdm.plan_bands
+
+        def recording(**kwargs):
+            calls.append(kwargs)
+            return plan_bands_(**kwargs)
+
+        monkeypatch.setattr(wdm, "plan_bands", recording)
+        assert run("--out", tmp_path, "plan-wdm") == 0
+        assert run("--out", tmp_path, "plan-wdm", "--spacing-ghz", "50") == 0
+        assert calls == [{"grid_aligned": False},
+                         {"grid_aligned": False, "channel_spacing": 50e9}]
+
+    @pytest.mark.parametrize("flag, name", [("--carrier-thz", "carrier_f"),
+                                            ("--spacing-ghz", "channel_spacing"),
+                                            ("--width-ghz", "channel_width"),
+                                            ("--bandwidth-thz", "source_bandwidth"),
+                                            ("--guard-ghz", "guard")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_argument_exit_2(self, tmp_path, capsys, flag, name, value):
+        assert run("--out", tmp_path, "plan-wdm", flag, value) == 2
+        err = capsys.readouterr().err
+        assert f"{name} must be finite" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_spacing_too_fine_exit_2(self, tmp_path, capsys):
+        # Never run at a commit without the pair bound: it builds the list unbounded.
+        assert run("--out", tmp_path, "plan-wdm", "--spacing-ghz", "1e-300") == 2
+        err = capsys.readouterr().err
+        assert "more than 1048576 channel pairs" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.mark.parametrize("write", [
     lambda path: write_plan_json(path, replace(plan_bands(), carrier_f=math.nan)),
     lambda path: write_plan_csv(path, replace(plan_bands(), pairs=((1.0, 2.0), ("x", 3.0)))),
     lambda path: ExperimentConfig(
         acquisition=AcquisitionConfig(clearance_at_43ghz_db=math.nan)).dump(path),
-], ids=["plan.json", "plan.csv", "config.json"])
+    lambda path: traceio.write_csv(path, ["x"], ([float(x)] for x in ("1", "x"))),
+], ids=["plan.json", "plan.csv", "config.json", "write_csv"])
 def test_failed_write_keeps_old_file(tmp_path, write):
     path = tmp_path / "out"
     path.write_text("old\n")

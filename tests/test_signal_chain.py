@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opahd.gaussian import ChainModel, loss, paper_default_chain, squeeze
-from opahd.signal_chain import (SYNTHESIS_CHUNK_BYTES, AcquisitionConfig,
+from opahd.signal_chain import (CHUNK_BYTES, AcquisitionConfig,
                                 Ensemble, FrequencyResponse, TraceRecord,
                                 electrical_floor, extract_wavepacket,
                                 frame_seed, model_variance, psd_model,
@@ -103,7 +103,7 @@ class TestSynthesis:
     @pytest.mark.parametrize("n", [512, 12512])
     def test_rows_match_per_frame_reference(self, n):
         # three chunks of batched synthesis, the last one ragged
-        rows = SYNTHESIS_CHUNK_BYTES // (16 * (n + 1))
+        rows = CHUNK_BYTES // (16 * (n + 1))
         count = 2 * rows + (rows + 1) // 2
         assert count % rows != 0
         resp, acq = FrequencyResponse(), small_acq(frames=count, n=n, clearance=20.0)

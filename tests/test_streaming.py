@@ -99,12 +99,13 @@ def streamed(path, window):
 
 
 # 300 frames are a multiple neither of the read chunk (131 rows of 1000
-# samples by default, 7 with the small budget) nor of FFT_CHUNK_FRAMES.
-@pytest.mark.parametrize("read_chunk_bytes", [traceio.READ_CHUNK_BYTES, 7 * 8000])
+# samples by default, 7 with the small budget), nor of the FFT chunk (65 rows,
+# 6 with the small budget), nor of FFT_CHUNK_FRAMES.
+@pytest.mark.parametrize("chunk_bytes", [signal_chain.CHUNK_BYTES, 7 * 8000])
 @pytest.mark.parametrize("window", ["rectangular", "hann"])
 def test_streamed_route_matches_whole_ensemble_bit_for_bit(tmp_path, monkeypatch,
-                                                          read_chunk_bytes, window):
-    monkeypatch.setattr(traceio, "READ_CHUNK_BYTES", read_chunk_bytes)
+                                                          chunk_bytes, window):
+    monkeypatch.setattr(signal_chain, "CHUNK_BYTES", chunk_bytes)
     acq = AcquisitionConfig(record_duration=6.25e-9, samples_per_frame=1000, frames=300,
                             clearance_at_43ghz_db=20.0)
     chain = ChainModel(stages=(squeeze(1.0), psa(35.0, 0.79), loss(0.076)))
@@ -142,6 +143,21 @@ def test_streamed_route_matches_whole_ensemble_bit_for_bit(tmp_path, monkeypatch
     assert np.array_equal(whole_edges, ref_edges)
 
 
+def test_one_chunk_budget_sets_every_chunk(tmp_path, monkeypatch):
+    """signal_chain.CHUNK_BYTES, read at call time, sizes the synthesis, the
+    trace read and the FFT chunks: 16 bytes per spectrum bin, 8 per sample."""
+    acq = AcquisitionConfig(record_duration=6.25e-9, samples_per_frame=1000, frames=20)
+    monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 5 * 16 * 1001)
+    ens = synthesize_frames(ChainModel(), FrequencyResponse(), acq)
+    assert [len(c) for c in signal_chain.frame_chunks(ChainModel(), FrequencyResponse(),
+                                                      acq)] == [5] * 4
+    assert FrameStats(acq, 20)._rows == 5 * 1001 // 501
+    with traceio.trace_writer(tmp_path / "t.trace", acq, 0.0, 20) as write:
+        write(ens.samples)
+    with traceio.TraceReader(tmp_path / "t.trace") as reader:
+        assert [len(c) for c in reader.chunks()] == [10, 10]
+
+
 def test_frame_stats_rejects_more_frames_than_announced():
     acq = AcquisitionConfig(record_duration=6.25e-9, samples_per_frame=1000, frames=2)
     stats = FrameStats(acq, 2)
@@ -168,6 +184,17 @@ def test_trace_writer_rejects_frame_counts_the_header_cannot_hold(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("duration", [1e-18, 1e10, float("inf"), float("nan")])
+def test_trace_writer_rejects_sample_intervals_the_header_cannot_hold(tmp_path, duration):
+    # 4 samples in 1e-18 s are 0.25 fs apart, which rounds to 0; in 1e10 s,
+    # 2.5e24 fs, past the uint64 field.
+    acq = AcquisitionConfig(record_duration=duration, samples_per_frame=4, frames=1)
+    with pytest.raises(ValueError, match="record_duration gives a sample interval"):
+        with traceio.trace_writer(tmp_path / "t.trace", acq, 0.0, 1):
+            pass
+    assert list(tmp_path.iterdir()) == []
+
+
 SWEEP_CHAIN = ChainModel(stages=(squeeze(1.0), psa(35.0, 0.79), loss(0.076)))
 # 512-sample frames with the electrical floor on: 127 rows per synthesis chunk
 # by default, 7 with the small budget; 300 frames is a multiple of neither.
@@ -175,9 +202,9 @@ SWEEP_ACQ = AcquisitionConfig(record_duration=3.2e-9, samples_per_frame=512, fra
                               clearance_at_43ghz_db=20.0)
 
 
-@pytest.mark.parametrize("chunk_bytes", [signal_chain.SYNTHESIS_CHUNK_BYTES, 7 * 16 * 513])
+@pytest.mark.parametrize("chunk_bytes", [signal_chain.CHUNK_BYTES, 7 * 16 * 513])
 def test_monte_carlo_sweep_matches_per_point_ensembles_bit_for_bit(monkeypatch, chunk_bytes):
-    monkeypatch.setattr(signal_chain, "SYNTHESIS_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(signal_chain, "CHUNK_BYTES", chunk_bytes)
     resp = FrequencyResponse()
     rows = loss_sweep(SWEEP_CHAIN, [0.0, 0.3, 0.9], (0.0, 35.0), monte_carlo=True,
                       resp=resp, acq=SWEEP_ACQ, mc_frames=300, master_seed=11)

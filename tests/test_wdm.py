@@ -1,11 +1,13 @@
 """Sideband pair planning: symmetry, non-overlap, monotonicity."""
 import csv
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opahd import wdm
 from opahd.wdm import plan_bands, write_plan_csv, write_plan_json
 
 
@@ -68,6 +70,26 @@ class TestDefaults:
             plan_bands(channel_width=150e9)  # wider than spacing
         with pytest.raises(ValueError):
             plan_bands(guard=-1.0)
+
+    @pytest.mark.parametrize("name", ["carrier_f", "channel_spacing", "channel_width",
+                                      "source_bandwidth", "guard"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_named(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            plan_bands(**{name: value})
+
+    def test_pair_count_bounded_before_the_list_is_built(self, monkeypatch):
+        monkeypatch.setattr(wdm, "MAX_PAIRS", 30)
+        assert len(plan_bands().pairs) == 30
+        monkeypatch.setattr(wdm, "MAX_PAIRS", 29)
+        with pytest.raises(ValueError, match="more than 29 channel pairs"):
+            plan_bands()
+
+    def test_grid_aligned_offset_past_float_range_of_spacings(self):
+        # guard / spacing overflows float64; nothing fits the 1 Hz band
+        plan = plan_bands(channel_spacing=1e-300, guard=1e10, source_bandwidth=1.0,
+                          grid_aligned=True)
+        assert plan.pairs == ()
 
 
 class TestMonotonicity:
