@@ -7,9 +7,8 @@ from .gaussian import (ChainModel, ChannelSpec, GaussianState,
                        pump_curve, relative_quadrature_power,
                        source_chain_for_levels, squeeze, vacuum)
 from .signal_chain import (AcquisitionConfig, Ensemble, FrequencyResponse,
-                           TraceRecord, extract_wavepacket, frame_chunks,
-                           model_variance, psd_model, synthesize_frame,
-                           synthesize_frames)
+                           extract_wavepacket, frame_chunks, model_variance,
+                           psd_model, synthesize_frame, synthesize_frames)
 from .analysis import (FrameStats, SpectrumEstimate, SqueezeFitResult,
                        averaged_fft, fit_pump_curve, frame_variances, histogram,
                        level_from_variances, loss_sweep, pooled_histogram,

@@ -127,18 +127,27 @@ class FrameStats:
             i += m
 
     def spectrum(self) -> SpectrumEstimate:
-        """Power-averaged periodogram of the frames added so far."""
+        """Power-averaged periodogram of the frames added so far, one-sided.
+
+        Each bin with a negative-frequency mirror is doubled. DC, and for even
+        samples_per_frame the Nyquist bin, have none and keep single weight:
+        they read half of psd_model's S(f), and with the rectangular window
+        Σ power·Δf is the mean square sample (Heinzel, Rüdiger & Schilling,
+        "Spectrum and spectral density estimation by the DFT", MPI für
+        Gravitationsphysik, Hannover (2002)).
+        """
         if self.count == 0:
             raise ValueError("need at least one frame")
         power = (self._power_sum + self._buf[0]) * (self._scale / self.count)
-        power[1:-1] *= 2.0  # fold negative frequencies, one-sided convention
         n = self.config.samples_per_frame
+        power[1:(n + 1) // 2] *= 2.0  # fold negative frequencies
         freqs = np.fft.rfftfreq(n, 1.0 / self.config.sample_rate)
         return SpectrumEstimate(freqs=freqs, power=power)
 
 
 def averaged_fft(frames: Ensemble, window: str = AnalysisOptions.window) -> SpectrumEstimate:
-    """Power-averaged per-frame periodogram (one-sided, PSD units)."""
+    """Power-averaged per-frame periodogram (one-sided, PSD units), with DC
+    (and Nyquist, for even frame lengths) at half weight: see FrameStats.spectrum."""
     if len(frames) == 0:
         raise ValueError("need at least one frame")
     stats = FrameStats(frames.config, len(frames), window)
@@ -235,8 +244,7 @@ def _pump_model_and_jacobian(pump_w: np.ndarray, sign: np.ndarray, big_l: float,
     return model, np.column_stack([d_l, d_a])
 
 
-def fit_pump_curve(points: list[tuple[float, float, int]],
-                   max_iter: int = 200) -> SqueezeFitResult:
+def fit_pump_curve(points: list[tuple[float, float, int]]) -> SqueezeFitResult:
     """Weighted nonlinear least squares of R±(P) = L + (1−L)exp(±2√(aP)).
 
     points are (pump_w, level_rel, branch) with branch +1 for anti-squeezing
@@ -258,13 +266,9 @@ def fit_pump_curve(points: list[tuple[float, float, int]],
         raise ValueError("points must span at least two pump powers")
     weights = 1.0 / level
 
-    def residual(p):
-        model, _ = _pump_model_and_jacobian(pump, sign, p[0], p[1])
-        return (model - level) * weights
-
-    def jacobian(p):
-        _, jac = _pump_model_and_jacobian(pump, sign, p[0], p[1])
-        return jac * weights[:, None]
+    def weighted_model(p):
+        model, jac = _pump_model_and_jacobian(pump, sign, p[0], p[1])
+        return (model - level) * weights, jac * weights[:, None]
 
     bounds = (np.array([0.0, 1e-12]), np.array([1.0 - 1e-9, np.inf]))
     best = None
@@ -273,7 +277,7 @@ def fit_pump_curve(points: list[tuple[float, float, int]],
         for a0 in _initial_gain_coefficients(pump, level, sign, l0):
             try:
                 p, cost, cov, n_iter = levenberg_marquardt(
-                    residual, jacobian, np.array([l0, a0]), bounds, max_iter)
+                    weighted_model, np.array([l0, a0]), bounds)
             except FitConvergenceError as err:
                 last_error = err
                 continue

@@ -42,10 +42,20 @@ def _section(raw: dict, key: str) -> dict:
     return section
 
 
+def _integer(key: str, value) -> int:
+    """value as an int, refusing any value that int() would change (512.5, "8", true)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 # Each section's keys as (JSON key, field, unit or converter), in file order.
 # A unit, the key's unit in SI, loads as float(v) * unit and dumps as
-# _in_unit(value, unit); a converter applies at load only. An omitted key takes
-# the field's default. The analysis keys are AnalysisOptions' fields as they are.
+# _in_unit(value, unit); a converter applies at load only, and int stands for
+# _integer. An omitted key takes the field's default. The analysis keys are
+# AnalysisOptions' fields as they are.
 _TOP_KEYS = (("seed", "seed", int),)
 _CHAIN_KEYS = (("lo_phase_rad", "lo_phase", float),)
 _SECTIONS = {
@@ -71,7 +81,8 @@ def _dump(obj, keys) -> dict:
 
 
 def _load(raw: dict, keys) -> dict:
-    return {name: float(raw[key]) * unit if isinstance(unit, float) else unit(raw[key])
+    return {name: float(raw[key]) * unit if isinstance(unit, float)
+            else _integer(key, raw[key]) if unit is int else unit(raw[key])
             for key, name, unit in keys if key in raw}
 
 

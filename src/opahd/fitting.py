@@ -17,31 +17,24 @@ class FitConvergenceError(RuntimeError):
         self.last_cost = last_cost
 
 
-def levenberg_marquardt(residual_fn, jacobian_fn, p0, bounds=None,
-                        max_iter: int = 200, tol: float = 1e-12):
+def levenberg_marquardt(model_fn, p0, bounds, max_iter: int = 200, tol: float = 1e-12):
     """Minimize ||r(p)||² starting from p0.
 
-    residual_fn(p) -> (n,) residual vector; jacobian_fn(p) -> (n, m) Jacobian
-    of the residuals. bounds is an optional (lower, upper) pair of arrays;
-    steps are clipped into the box.
+    model_fn(p) -> (r, J): the (n,) residual vector and its (n, m) Jacobian.
+    bounds is a (lower, upper) pair of arrays; steps are clipped into the box.
 
     Returns (params, cost, covariance, n_iter). Raises FitConvergenceError
     if the damping schedule stalls before meeting tol.
     """
-    p = np.asarray(p0, dtype=float).copy()
-    lo = hi = None
-    if bounds is not None:
-        lo = np.asarray(bounds[0], dtype=float)
-        hi = np.asarray(bounds[1], dtype=float)
-        p = np.clip(p, lo, hi)
-
-    r = residual_fn(p)
+    lo = np.asarray(bounds[0], dtype=float)
+    hi = np.asarray(bounds[1], dtype=float)
+    p = np.clip(np.asarray(p0, dtype=float), lo, hi)
+    r, jac = model_fn(p)
     cost = float(r @ r)
     lam = 1e-3
     converged = False
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        jac = jacobian_fn(p)
         jtj = jac.T @ jac
         jtr = jac.T @ r
         if np.linalg.norm(jtr, np.inf) < tol * (1.0 + cost):
@@ -54,14 +47,12 @@ def levenberg_marquardt(residual_fn, jacobian_fn, p0, bounds=None,
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            p_new = p + step
-            if lo is not None:
-                p_new = np.clip(p_new, lo, hi)
-            r_new = residual_fn(p_new)
+            p_new = np.clip(p + step, lo, hi)
+            r_new, jac_new = model_fn(p_new)
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:
                 rel_drop = (cost - cost_new) / max(cost, 1e-300)
-                p, r, cost = p_new, r_new, cost_new
+                p, r, jac, cost = p_new, r_new, jac_new, cost_new
                 lam = max(lam / 10.0, 1e-14)
                 stepped = True
                 if rel_drop < tol:
@@ -77,7 +68,6 @@ def levenberg_marquardt(residual_fn, jacobian_fn, p0, bounds=None,
         raise FitConvergenceError(
             f"no convergence after {max_iter} iterations (cost={cost:.3e})", p, cost)
 
-    jac = jacobian_fn(p)
     jtj = jac.T @ jac
     dof = max(len(r) - len(p), 1)
     try:

@@ -203,10 +203,10 @@ class ChainModel:
                 raise ValueError(f"{name} propagates vacuum to a covariance that is not "
                                  f"finite and positive definite")
 
-    def propagate(self, state: GaussianState | None = None) -> GaussianState:
-        out = vacuum() if state is None else state
+    def propagate(self) -> GaussianState:
+        """The state the chain makes of vacuum."""
         vx, c, vp = _fold([m for s in self.stages for m in s.maps],
-                          out.var_x, out.cov_xp, out.var_p)
+                          VACUUM_VARIANCE, 0.0, VACUUM_VARIANCE)
         return GaussianState(var_x=vx, var_p=vp, cov_xp=c)
 
     def without_squeezing(self) -> "ChainModel":

@@ -25,6 +25,14 @@ def chunk_rows(row_bytes: int, limit: int) -> int:
     return max(1, min(limit, CHUNK_BYTES // max(row_bytes, 1)))
 
 
+def _check_positive(obj, *names: str) -> None:
+    """Raise ValueError naming the first of obj's fields that is not finite and > 0."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FrequencyResponse:
     """Magnitude response of detector + amplifier + oscilloscope.
@@ -40,8 +48,7 @@ class FrequencyResponse:
     filter_order: int = 4
 
     def __post_init__(self):
-        if self.detector_f3db <= 0 or self.scope_cutoff <= 0:
-            raise ValueError("cutoff frequencies must be positive")
+        _check_positive(self, "detector_f3db", "scope_cutoff")
         if self.filter_order < 1:
             raise ValueError("filter order must be >= 1")
 
@@ -63,14 +70,14 @@ class AcquisitionConfig:
     clearance_at_43ghz_db: float | None = 20.0
 
     def __post_init__(self):
-        if self.record_duration <= 0:
-            raise ValueError("record duration must be positive")
+        _check_positive(self, "record_duration", "photocurrent")
         if not 2 <= self.samples_per_frame < 2 ** 32:     # the trace header's uint32
             raise ValueError("samples_per_frame must be >= 2 and < 2**32")
         if self.frames < 1:
             raise ValueError("frames must be >= 1")
-        if self.photocurrent <= 0:
-            raise ValueError("photocurrent must be positive")
+        clearance = self.clearance_at_43ghz_db
+        if clearance is not None and not math.isfinite(clearance):
+            raise ValueError(f"clearance_at_43ghz_db must be finite or None, got {clearance!r}")
 
     @property
     def sample_interval(self) -> float:
@@ -82,25 +89,10 @@ class AcquisitionConfig:
 
 
 @dataclass(frozen=True)
-class TraceRecord:
-    """One sampled homodyne output frame plus acquisition metadata."""
-
-    samples: np.ndarray
-    config: AcquisitionConfig
-    theta: float
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
-        if self.samples.ndim != 1 or len(self.samples) != self.config.samples_per_frame:
-            raise ValueError("trace length must equal samples_per_frame")
-
-
-@dataclass(frozen=True)
 class Ensemble:
     """An ensemble of frames as one C-contiguous frames × samples_per_frame
-    float64 block plus acquisition metadata. ens[i] is a TraceRecord view of
-    frame i; per-frame seeds are not kept (seed -1)."""
+    float64 block plus acquisition metadata. ens[i] is the one-frame Ensemble
+    that views row i."""
 
     samples: np.ndarray
     config: AcquisitionConfig
@@ -115,9 +107,8 @@ class Ensemble:
     def __len__(self) -> int:
         return self.samples.shape[0]
 
-    def __getitem__(self, i: int) -> TraceRecord:
-        return TraceRecord(samples=self.samples[i], config=self.config,
-                           theta=self.theta, seed=-1)
+    def __getitem__(self, i: int) -> "Ensemble":
+        return Ensemble(samples=self.samples[i][None], config=self.config, theta=self.theta)
 
 
 def electrical_floor(resp: FrequencyResponse, acq: AcquisitionConfig) -> float:
@@ -138,7 +129,10 @@ def psd_model(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig
     quadrature variance relative to the pump-off shot reference (flat in f
     for THz-wide sources) and S_el the electrical floor.
 
-    Returns (freqs, power) with freqs the rfft grid of one frame.
+    Returns (freqs, power) with freqs the rfft grid of one frame. S(f) is a
+    density on f ≥ 0 at every bin; analysis.FrameStats.spectrum estimates half
+    of it at DC (and at Nyquist, for even frame lengths), whose bins have no
+    negative-frequency mirror (Heinzel, Rüdiger & Schilling 2002).
     """
     freqs = np.fft.rfftfreq(acq.samples_per_frame, acq.sample_interval)
     return freqs, _one_sided_model(chain, resp, acq, theta, freqs)
@@ -176,8 +170,9 @@ def _synthesis_sigma(chain: ChainModel, resp: FrequencyResponse, acq: Acquisitio
 
 
 def synthesize_frame(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,
-                     theta: float | None = None, seed: int = 0) -> TraceRecord:
-    """One reproducible homodyne frame with the analytic target spectrum.
+                     theta: float | None = None, seed: int = 0) -> Ensemble:
+    """One reproducible homodyne frame, as a one-frame Ensemble, with the
+    analytic target spectrum.
 
     The per-frame reference for synthesize_frames: row i of an ensemble is
     this frame with seed=frame_seed(master_seed, first_frame + i).
@@ -196,7 +191,7 @@ def synthesize_frame(chain: ChainModel, resp: FrequencyResponse, acq: Acquisitio
     spec[0] = sigma[0] * re[0]
     spec[-1] = sigma[-1] * re[-1]
     samples = np.fft.irfft(spec, n=2 * n)[n:]
-    return TraceRecord(samples=samples, config=acq, theta=th, seed=seed)
+    return Ensemble(samples=samples[None], config=acq, theta=th)
 
 
 def shared_frame_chunks(chains, resp: FrequencyResponse, acq: AcquisitionConfig,
@@ -266,18 +261,21 @@ def synthesize_frames(chain: ChainModel, resp: FrequencyResponse, acq: Acquisiti
     return Ensemble(samples=block, config=acq, theta=th)
 
 
-def extract_wavepacket(trace: TraceRecord, mode_fn: np.ndarray, center_time: float) -> float:
-    """Quadrature sample of the wavepacket defined by a temporal mode window.
+def extract_wavepacket(frames: Ensemble, mode_fn: np.ndarray,
+                       center_time: float) -> np.ndarray:
+    """Quadrature sample of each frame's wavepacket defined by a temporal mode
+    window, one value per frame.
 
     mode_fn must be L²-normalized on the sample grid (Σ f²·Δt = 1); the
-    returned value is scaled so a full-band vacuum ensemble has variance 1/2.
+    values are scaled so a full-band vacuum ensemble has variance 1/2.
     """
     mode = np.asarray(mode_fn, dtype=float)
-    dt = trace.config.sample_interval
+    dt = frames.config.sample_interval
     if abs(float(np.sum(mode ** 2)) * dt - 1.0) > 1e-6:
         raise ValueError("mode function must be L2-normalized on the sample grid")
     start = int(round(center_time / dt))
-    if start < 0 or start + len(mode) > len(trace.samples):
+    if start < 0 or start + len(mode) > frames.samples.shape[1]:
         raise IndexError("mode window overruns the trace")
-    segment = trace.samples[start:start + len(mode)]
-    return float(np.sum(mode * segment) * dt * math.sqrt(trace.config.sample_rate / 2.0))
+    segment = frames.samples[:, start:start + len(mode)]
+    # Row by row, not segment @ mode: a frame gets the same value alone as in a block.
+    return np.sum(mode * segment, axis=1) * dt * math.sqrt(frames.config.sample_rate / 2.0)

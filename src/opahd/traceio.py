@@ -191,9 +191,6 @@ def config_from_meta(meta: dict) -> AcquisitionConfig:
                              samples_per_frame=n, frames=meta["frames"])
 
 
-def records_from_array(data: np.ndarray, meta: dict,
-                       config: AcquisitionConfig | None = None) -> Ensemble:
+def records_from_array(data: np.ndarray, meta: dict) -> Ensemble:
     """Wrap a loaded array as an Ensemble without copying it."""
-    if config is None:
-        config = config_from_meta(meta)
-    return Ensemble(samples=data, config=config, theta=meta["theta_rad"])
+    return Ensemble(samples=data, config=config_from_meta(meta), theta=meta["theta_rad"])

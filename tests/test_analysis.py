@@ -58,6 +58,15 @@ class TestAveragedFft:
         assert float(np.sum(spec.power * w)) == pytest.approx(
             float(np.mean(data ** 2)), rel=1e-10)
 
+    def test_parseval_scaling_odd_length(self):
+        # For odd n the last bin is not Nyquist: it has a negative-frequency
+        # mirror and is folded like the rest, so only DC keeps single weight.
+        acq = small_acq(frames=8, n=1001)
+        data = np.random.default_rng(1).standard_normal((8, 1001))
+        spec = averaged_fft(make_frames(data, acq))
+        assert float(np.sum(spec.power)) * acq.sample_rate / 1001 == pytest.approx(
+            float(np.mean(data ** 2)), rel=1e-10)
+
     def test_mismatched_lengths(self):
         # an ensemble whose width is not samples_per_frame cannot be built
         with pytest.raises(ValueError):
@@ -146,7 +155,7 @@ class TestHistogram:
         resp = FrequencyResponse(detector_f3db=1e15, scope_cutoff=1e15)
         acq = small_acq(frames=256)
         frames = synthesize_frames(ChainModel(), resp, acq, 0.0, master_seed=10)
-        data = np.concatenate([fr.samples for fr in frames])
+        data = frames.samples.ravel()
         n = len(data)
         kurt = float(np.mean(data ** 4) / np.mean(data ** 2) ** 2 - 3.0)
         assert abs(kurt) < 5 * math.sqrt(24.0 / n)
@@ -158,8 +167,8 @@ class TestHistogram:
         sq = synthesize_frames(chain, resp, acq, 0.0, master_seed=11)
         shot = synthesize_frames(chain.without_squeezing(), resp, acq, 0.0, master_seed=12)
         level_db, _ = variance_level(sq, shot)
-        std_sq = np.concatenate([f.samples for f in sq]).std()
-        std_shot = np.concatenate([f.samples for f in shot]).std()
+        std_sq = sq.samples.std()
+        std_shot = shot.samples.std()
         assert std_sq / std_shot == pytest.approx(10 ** (level_db / 20), rel=1e-3)
 
     def test_bins_validation(self):
@@ -231,26 +240,50 @@ class TestFitPumpCurve:
         with pytest.raises(ValueError):
             fit_pump_curve(pts)
 
+    # (big_l, a_coeff, covariance row by row, cost, n_iter) as float.hex
+    PINNED = {
+        "two_branch": ("0x1.22709daf71d96p-2", "0x1.81b14f8188db2p+2",
+                       ("0x1.066712a863b85p-16", "0x1.0011999791b5bp-13",
+                        "0x1.0011999791b5bp-13", "0x1.8bf739e252707p-9"),
+                       "0x1.0dbaac7d4b3d2p-7", 5),
+        "squeeze_only": ("0x1.28911cf217003p-2", "0x1.8680ab9e99ebep+2",
+                         ("0x1.dce8302b67876p-15", "0x1.e695121f41845p-9",
+                          "0x1.e695121f41845p-9", "0x1.25e83bae4ac4cp-2"),
+                         "0x1.afdd6fd0904a9p-8", 6),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_results_pinned_bit_for_bit(self, name):
+        pumps, branches, seed = {"two_branch": (np.linspace(0.0, 0.438, 8), (-1, 1), 8),
+                                 "squeeze_only": (np.linspace(0.05, 0.438, 12), (-1,), 9)}[name]
+        rng = np.random.default_rng(seed)
+        pts = [(p, pump_curve(p, 0.29, 6.0, b) * 10 ** (rng.normal(0.0, 0.1) / 10.0), b)
+               for b in branches for p in pumps]
+        res = fit_pump_curve(pts)
+        big_l, a_coeff, cov, cost, n_iter = self.PINNED[name]
+        assert (res.big_l.hex(), res.a_coeff.hex()) == (big_l, a_coeff)
+        assert tuple(float(x).hex() for x in res.covariance.ravel()) == cov
+        assert (float(res.cost).hex(), res.n_iter) == (cost, n_iter)
+
 
 class TestLevenbergMarquardt:
     def test_linear_problem_one_step(self):
         jac = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         target = np.array([1.0, 2.0, 3.0])
+        unbounded = (np.full(2, -np.inf), np.full(2, np.inf))
         params, cost, cov, _ = levenberg_marquardt(
-            lambda p: jac @ p - target, lambda p: jac, np.zeros(2))
+            lambda p: (jac @ p - target, jac), np.zeros(2), unbounded)
         assert params == pytest.approx([1.0, 2.0], abs=1e-8)
         assert cost == pytest.approx(0.0, abs=1e-12)
 
     def test_nonconvergence_reports_last_iterate(self):
         # one iteration cannot reach the optimum from far away
-        def resid(p):
-            return np.array([math.exp(p[0]) - 2.0, p[0] ** 3 - 8.0, p[0] - 2.0])
-
-        def jac(p):
-            return np.array([[math.exp(p[0])], [3 * p[0] ** 2], [1.0]])
+        def model(p):
+            return (np.array([math.exp(p[0]) - 2.0, p[0] ** 3 - 8.0, p[0] - 2.0]),
+                    np.array([[math.exp(p[0])], [3 * p[0] ** 2], [1.0]]))
 
         with pytest.raises(FitConvergenceError) as info:
-            levenberg_marquardt(resid, jac, np.array([50.0]), max_iter=1)
+            levenberg_marquardt(model, np.array([50.0]), ([-np.inf], [np.inf]), max_iter=1)
         assert info.value.last_params.shape == (1,)
 
 

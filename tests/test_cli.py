@@ -168,9 +168,22 @@ class TestSimulate:
          "mask_center_ghz and mask_width_ghz must be finite"),
         ({"acquisition": dict(SMALL_CONFIG["acquisition"], samples_per_frame=2 ** 32)},
          "samples_per_frame must be >= 2 and < 2**32"),
+        ({"acquisition": dict(SMALL_CONFIG["acquisition"], samples_per_frame=512.5)},
+         "samples_per_frame must be an integer, got 512.5"),
+        ({"acquisition": dict(SMALL_CONFIG["acquisition"], frames=8.9)},
+         "frames must be an integer, got 8.9"),
+        ({"acquisition": dict(SMALL_CONFIG["acquisition"], frames="8")},
+         "frames must be an integer, got '8'"),
+        ({"acquisition": dict(SMALL_CONFIG["acquisition"], frames=True)},
+         "frames must be an integer, got True"),
+        ({"response": {"filter_order": 4.5}}, "filter_order must be an integer, got 4.5"),
+        ({"seed": 77.5}, "seed must be an integer, got 77.5"),
+        ({"seed": math.inf}, "seed must be an integer, got inf"),
     ], ids=["stages-string", "stages-object", "stage-list", "chain-string",
             "acquisition-string", "window", "bins-fraction", "bins-string", "mask-nan",
-            "mask-inf", "samples-2**32"])
+            "mask-inf", "samples-2**32", "samples-fraction", "frames-fraction",
+            "frames-string", "frames-bool", "filter-order-fraction", "seed-fraction",
+            "seed-inf"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, section, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**SMALL_CONFIG, **section}))
@@ -201,9 +214,35 @@ class TestSimulate:
         out = tmp_path / "out"
         assert run("--config", path, "--out", out, "simulate") == 2
         err = capsys.readouterr().err
-        assert "record_duration gives a sample interval of" in err
         assert "Traceback" not in err
-        assert list(out.iterdir()) == []
+        if math.isfinite(duration_ns):
+            assert "record_duration gives a sample interval of" in err
+            assert list(out.iterdir()) == []
+        else:   # rejected at load, before the output directory is made
+            assert "record_duration must be finite and positive" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("section, key, field", [
+        ("acquisition", "record_duration_ns", "record_duration"),
+        ("acquisition", "photocurrent_ma", "photocurrent"),
+        ("acquisition", "clearance_at_43ghz_db", "clearance_at_43ghz_db"),
+        ("response", "detector_f3db_ghz", "detector_f3db"),
+        ("response", "scope_cutoff_ghz", "scope_cutoff"),
+    ])
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep-loss", "--monte-carlo"]],
+                             ids=["simulate", "sweep-loss"])
+    def test_non_finite_acquisition_or_response_exit_2(self, tmp_path, capsys, command,
+                                                       section, key, field, value):
+        raw = dict(SMALL_CONFIG)
+        raw[section] = dict(raw.get(section, {}), **{key: value})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert run("--config", path, "--out", tmp_path / "out", *command) == 2
+        err = capsys.readouterr().err
+        assert f"{field} must be finite" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_failure_partway_leaves_no_partial_trace(self, tmp_path, config_path,
                                                      monkeypatch):

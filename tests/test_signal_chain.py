@@ -6,8 +6,7 @@ import pytest
 
 from opahd.gaussian import ChainModel, loss, paper_default_chain, squeeze
 from opahd.signal_chain import (CHUNK_BYTES, AcquisitionConfig,
-                                Ensemble, FrequencyResponse, TraceRecord,
-                                electrical_floor, extract_wavepacket,
+                                Ensemble, FrequencyResponse, electrical_floor, extract_wavepacket,
                                 frame_seed, model_variance, psd_model,
                                 synthesize_frame, synthesize_frames)
 
@@ -112,14 +111,15 @@ class TestSynthesis:
         assert len(ens) == count
         for i in range(count):
             ref = synthesize_frame(chain, resp, acq, 0.4, seed=frame_seed(17, 9 + i))
-            assert ens.samples[i].tobytes() == ref.samples.tobytes()
+            assert len(ref) == 1
+            assert ens.samples[i].tobytes() == ref.samples[0].tobytes()
 
     def test_parseval(self):
         # mean squared sample value equals the integral of the target PSD
         resp, acq = FrequencyResponse(), small_acq(frames=1024, clearance=20.0)
         chain = paper_default_chain()
         frames = synthesize_frames(chain, resp, acq, 0.0, master_seed=11)
-        per_frame = np.array([np.mean(fr.samples ** 2) for fr in frames])
+        per_frame = np.mean(frames.samples ** 2, axis=1)
         target = model_variance(chain, resp, acq, 0.0)
         se = per_frame.std(ddof=1) / math.sqrt(len(per_frame))
         assert abs(per_frame.mean() - target) < 5 * se + 1e-3 * target
@@ -127,7 +127,7 @@ class TestSynthesis:
     def test_vacuum_normalized_variance(self):
         resp, acq = FrequencyResponse(), small_acq(frames=512)
         frames = synthesize_frames(VACUUM, resp, acq, 0.0, master_seed=2)
-        var = np.mean([np.var(fr.samples) for fr in frames])
+        var = np.mean(frames.samples.var(axis=1))
         assert var / model_variance(VACUUM, resp, acq, 0.0) == pytest.approx(1.0, abs=0.02)
 
     def test_quadrature_variance_ratio(self):
@@ -136,8 +136,7 @@ class TestSynthesis:
         chain = paper_default_chain()
         sq = synthesize_frames(chain, resp, acq, 0.0, master_seed=21)
         anti = synthesize_frames(chain, resp, acq, math.pi / 2, master_seed=22)
-        ratio = (np.mean([np.var(f.samples) for f in anti])
-                 / np.mean([np.var(f.samples) for f in sq]))
+        ratio = np.mean(anti.samples.var(axis=1)) / np.mean(sq.samples.var(axis=1))
         assert 10 * math.log10(ratio) == pytest.approx(13.9 + 5.2, abs=0.5)
 
     def test_frame_seed_unique(self):
@@ -160,16 +159,20 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             Ensemble(np.zeros(1024), small_acq(n=1024), 0.0)
 
-    def test_row_is_trace_record_view(self):
+    def test_row_is_one_frame_view(self):
         acq = small_acq(frames=3)
         ens = synthesize_frames(VACUUM, FrequencyResponse(), acq, 0.0, master_seed=2)
         rec = ens[1]
-        assert isinstance(rec, TraceRecord)
+        assert isinstance(rec, Ensemble) and len(rec) == 1
+        assert rec.config == acq and rec.theta == ens.theta
         assert np.shares_memory(rec.samples, ens.samples)
-        assert np.array_equal(rec.samples, ens.samples[1])
+        assert np.array_equal(rec.samples[0], ens.samples[1])
+        assert rec.samples.nbytes == 8 * acq.samples_per_frame
         assert [r.samples.tobytes() for r in ens] == [row.tobytes() for row in ens.samples]
+        with pytest.raises(IndexError):
+            ens[3]
         mode = np.ones(64) / math.sqrt(64 * acq.sample_interval)
-        copy = TraceRecord(ens.samples[1].copy(), acq, 0.0, 0)
+        copy = Ensemble(ens.samples[1:2].copy(), acq, 0.0)
         t = 10 * acq.sample_interval
         assert extract_wavepacket(rec, mode, t) == extract_wavepacket(copy, mode, t)
 
@@ -180,24 +183,26 @@ class TestWavepacket:
         mode = np.ones(n_mode)
         return mode / math.sqrt(np.sum(mode ** 2) * dt)
 
+    @staticmethod
+    def zero_frames(acq, frames=1):
+        return Ensemble(np.zeros((frames, acq.samples_per_frame)), acq, 0.0)
+
     def test_zero_trace(self):
         acq = small_acq()
-        trace = TraceRecord(np.zeros(acq.samples_per_frame), acq, 0.0, 0)
         mode = self.flat_mode(64, acq.sample_interval)
-        assert extract_wavepacket(trace, mode, 0.0) == 0.0
+        vals = extract_wavepacket(self.zero_frames(acq, 3), mode, 0.0)
+        assert vals.shape == (3,) and np.all(vals == 0.0)
 
     def test_unnormalized_mode_rejected(self):
         acq = small_acq()
-        trace = TraceRecord(np.zeros(acq.samples_per_frame), acq, 0.0, 0)
         with pytest.raises(ValueError):
-            extract_wavepacket(trace, np.ones(64), 0.0)
+            extract_wavepacket(self.zero_frames(acq), np.ones(64), 0.0)
 
     def test_window_overrun(self):
         acq = small_acq()
-        trace = TraceRecord(np.zeros(acq.samples_per_frame), acq, 0.0, 0)
         mode = self.flat_mode(64, acq.sample_interval)
         with pytest.raises(IndexError):
-            extract_wavepacket(trace, mode, acq.record_duration)
+            extract_wavepacket(self.zero_frames(acq), mode, acq.record_duration)
 
     def _mode_variance_oracle(self, chain, resp, acq, theta, mode, dt):
         # numeric band integral of |mode FT|^2 times the target PSD
@@ -218,7 +223,7 @@ class TestWavepacket:
         acq = small_acq(frames=2048)
         mode = self.flat_mode(256, acq.sample_interval)
         frames = synthesize_frames(VACUUM, resp, acq, 0.0, master_seed=31)
-        vals = [extract_wavepacket(fr, mode, 200 * acq.sample_interval) for fr in frames]
+        vals = extract_wavepacket(frames, mode, 200 * acq.sample_interval)
         oracle = self._mode_variance_oracle(VACUUM, resp, acq, 0.0, mode,
                                             acq.sample_interval)
         se = np.std(vals) ** 2 * math.sqrt(2.0 / len(vals))
@@ -232,7 +237,7 @@ class TestWavepacket:
         chain = ChainModel(stages=(squeeze(0.8), loss(0.8)))
         mode = self.flat_mode(256, acq.sample_interval)
         frames = synthesize_frames(chain, resp, acq, 0.0, master_seed=32)
-        vals = [extract_wavepacket(fr, mode, 100 * acq.sample_interval) for fr in frames]
+        vals = extract_wavepacket(frames, mode, 100 * acq.sample_interval)
         oracle = self._mode_variance_oracle(chain, resp, acq, 0.0, mode,
                                             acq.sample_interval)
         se = np.var(vals) * math.sqrt(2.0 / len(vals))

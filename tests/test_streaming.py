@@ -3,15 +3,19 @@ the same results as the whole-ensemble route and the plain per-group reference."
 import contextlib
 import io
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opahd import signal_chain, traceio
 from opahd.analysis import (FFT_CHUNK_FRAMES, FrameStats, _modified_chain, averaged_fft,
@@ -187,12 +191,47 @@ def test_trace_writer_rejects_frame_counts_the_header_cannot_hold(tmp_path):
 @pytest.mark.parametrize("duration", [1e-18, 1e10, float("inf"), float("nan")])
 def test_trace_writer_rejects_sample_intervals_the_header_cannot_hold(tmp_path, duration):
     # 4 samples in 1e-18 s are 0.25 fs apart, which rounds to 0; in 1e10 s,
-    # 2.5e24 fs, past the uint64 field.
-    acq = AcquisitionConfig(record_duration=duration, samples_per_frame=4, frames=1)
-    with pytest.raises(ValueError, match="record_duration gives a sample interval"):
+    # 2.5e24 fs, past the uint64 field. inf and NaN never reach the writer:
+    # AcquisitionConfig refuses them.
+    message = ("record_duration gives a sample interval" if math.isfinite(duration)
+               else "record_duration must be finite and positive")
+    with pytest.raises(ValueError, match=message):
+        acq = AcquisitionConfig(record_duration=duration, samples_per_frame=4, frames=1)
         with traceio.trace_writer(tmp_path / "t.trace", acq, 0.0, 1):
             pass
     assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 600), frames=st.integers(1, 40),
+       theta_urad=st.integers(-2 ** 40, 2 ** 40), interval_fs=st.integers(1, 10 ** 12),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_trace_file_round_trip(tmp_path_factory, n, frames, theta_urad, interval_fs, seed,
+                               data):
+    """Any shape, LO phase and sample interval the header holds, written in any
+    split of rows, reads back with the same samples and header, whole and in
+    chunks of any budget."""
+    samples = np.random.default_rng(seed).standard_normal((frames, n))
+    cuts = sorted(data.draw(st.lists(st.integers(0, frames), max_size=4)))
+    theta = theta_urad * 1e-6
+    acq = AcquisitionConfig(record_duration=n * interval_fs * 1e-15, samples_per_frame=n,
+                            frames=frames)
+    path = tmp_path_factory.mktemp("trace") / "t.trace"
+    with traceio.trace_writer(path, acq, theta, frames) as write:
+        for lo, hi in zip([0, *cuts], [*cuts, frames]):
+            write(samples[lo:hi])
+
+    whole, meta = traceio.read_traces(path)
+    assert whole.tobytes() == samples.tobytes()
+    assert meta == {"version": traceio.VERSION, "samples_per_frame": n, "frames": frames,
+                    "sample_interval_s": interval_fs * 1e-15, "theta_rad": theta}
+    chunk_bytes = data.draw(st.integers(1, 3 * 8 * n))
+    with mock.patch.object(signal_chain, "CHUNK_BYTES", chunk_bytes), \
+            traceio.TraceReader(path) as reader:
+        rows = signal_chain.chunk_rows(8 * n, frames)
+        chunks = [chunk.copy() for chunk in reader.chunks()]
+    assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
+    assert np.concatenate(chunks).tobytes() == samples.tobytes()
 
 
 SWEEP_CHAIN = ChainModel(stages=(squeeze(1.0), psa(35.0, 0.79), loss(0.076)))
