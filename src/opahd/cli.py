@@ -23,8 +23,10 @@ histogram pass, and the shot file's first pass. When the process may use two
 CPUs and a stream holds more than one chunk of samples, and for simulate when
 frames have at least THREADED_SYNTHESIS_MIN_SAMPLES samples, the shot stream
 runs on a worker thread (numpy releases the interpreter lock in its RNG, FFTs
-and file I/O). Each stream's chunks are half the size one stream took alone,
-so the memory stays the same. The outputs do not depend on it. If either stream
+and file I/O). Shorter frames stay on one thread: there a second stream saves
+little time and still adds about 2 MB of peak RSS. Each stream's chunks are
+half the size one stream took alone, so the chunk buffers take the same
+memory. The outputs do not depend on it. If either stream
 fails, the other stops at its next chunk and the command exits as it would
 have on one thread. main first allocates and frees one 2 MiB block, which
 stops glibc from mapping and unmapping the per-chunk temporaries on every
@@ -81,6 +83,16 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(",") if x.strip())
 
 
+def _seed(text: str) -> int:
+    """--seed's value: a non-negative integer, as numpy's SeedSequence takes."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opahd",
@@ -88,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "homodyne measurement of squeezed light.")
     parser.add_argument("--config", default=_env_default("CONFIG"),
                         help="experiment config JSON (default: built-in defaults)")
-    parser.add_argument("--seed", type=int, default=_env_default("SEED"),
-                        help="master seed override")
+    parser.add_argument("--seed", type=_seed, default=_env_default("SEED"),
+                        help="master seed override (a non-negative integer)")
     parser.add_argument("--out", default=_env_default("OUT", "."),
                         help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -125,15 +137,16 @@ def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.load(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         from dataclasses import replace
-        cfg = replace(cfg, seed=int(args.seed))
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
-# Shorter frames are synthesized on one thread: each frame's seed derivation
-# holds the interpreter lock for about 26 µs, which at 512 samples outweighs
-# the RNG and FFT work numpy does without it. simulate on two threads took 34 %
-# longer than on one at 512 samples, broke even at 1024, and saved 28-33 % at
-# 2048 and 4096.
+# Shorter frames are synthesized on one thread: a second stream's buffers and
+# thread stack add about 2.2 MB of peak RSS at any frame length, and at short
+# frames two threads save little time. simulate of 2 × 2048 frames of 512
+# samples took 0.48 s on one thread and on two, at 37.9 and 40.2 MB (+6 %);
+# at 1024 samples two threads saved 15 % for +2.1 MB, and at 2048, 13 % for
+# +2.2 MB (medians of 9 runs each, 2 CPUs).
 THREADED_SYNTHESIS_MIN_SAMPLES = 2048
 
 

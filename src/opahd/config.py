@@ -94,6 +94,10 @@ class ExperimentConfig:
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:       # SeedSequence takes non-negative entropy only
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,

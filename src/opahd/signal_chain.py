@@ -153,10 +153,150 @@ def model_variance(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionC
     return float(np.trapezoid(power, freqs))
 
 
-def frame_seed(master_seed: int, frame_index: int) -> int:
-    """Derive the independent 64-bit stream seed for one frame."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(frame_index,))
-    return int(ss.generate_state(2, np.uint64)[0])
+# numpy.random.SeedSequence's hash (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905). NEP 19 keeps both fixed,
+# so the arithmetic below gives SeedSequence's and PCG64's states bit for bit.
+_MASK32 = 0xFFFFFFFF
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+# Each step below takes Python ints or uint64 arrays, not both at once. Arrays
+# hold 32-bit words in uint64, so the one dtype's loops serve every step: a
+# product of two words still fits, and "& _MASK32" reduces mod 2**32.
+
+
+def _hashmix(value, h):
+    """SeedSequence's hashmix of one word: (hashed word, next hash constant)."""
+    value = value ^ h
+    h = (h * _MULT_A) & _MASK32
+    value = (value * h) & _MASK32
+    return value ^ (value >> 16), h
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _absorb(pool: list, h, word) -> tuple[list, int]:
+    """Mix one entropy word past SeedSequence's pool into every pool word."""
+    mixed = []
+    for x in pool:
+        v, h = _hashmix(word, h)
+        mixed.append(_mix(x, v))
+    return mixed, h
+
+
+def _mix_entropy(words: list) -> tuple[list, int]:
+    """SeedSequence.mix_entropy of at least _POOL_WORDS entropy words: (pool,
+    hash constant). SeedSequence hashes a missing word as 0, so shorter entropy
+    gives the same pool padded with zeros."""
+    h = _INIT_A
+    pool = []
+    for word in words[:_POOL_WORDS]:
+        v, h = _hashmix(word, h)
+        pool.append(v)
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                v, h = _hashmix(pool[src], h)
+                pool[dst] = _mix(pool[dst], v)
+    for word in words[_POOL_WORDS:]:
+        pool, h = _absorb(pool, h, word)
+    return pool, h
+
+
+def _generate_state(pool: list, n_words: int):
+    """Yield the n_words 32-bit words of SeedSequence.generate_state(n_words
+    // 2, np.uint64) in turn, each value's low word first."""
+    h = _INIT_B
+    for i in range(n_words):
+        v = pool[i % _POOL_WORDS] ^ h
+        h = (h * _MULT_B) & _MASK32
+        v = (v * h) & _MASK32
+        yield v ^ (v >> 16)
+
+
+def _words(n: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence makes of a non-negative int."""
+    if n < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def frame_seed(master_seed: int, frame_index):
+    """Derive the independent 64-bit stream seed for one frame, or for each of
+    an integer array of frame indices (each below 2**64) as a uint64 array.
+
+    Equals SeedSequence(master_seed, spawn_key=(frame_index,))
+    .generate_state(2, np.uint64)[0]: the master seed's words are hashed once,
+    then every frame's spawn-key words at once.
+    """
+    index = np.asarray(frame_index)
+    if index.dtype.kind not in "iu":
+        raise TypeError(f"frame indices must be integers, got {index.dtype}")
+    if index.dtype.kind == "i" and np.any(index < 0):
+        raise ValueError("frame indices must be non-negative")
+    index = index.reshape(-1).astype(np.uint64, copy=False)
+    run = _words(int(master_seed))
+    pool, h = _mix_entropy(run + [0] * (_POOL_WORDS - len(run)))
+    pool = [np.full(index.shape, x, dtype=np.uint64) for x in pool]
+    pool, h = _absorb(pool, h, index & _MASK32)
+    high = index >> 32
+    if np.count_nonzero(high):          # a spawn key of two words, low word first
+        two = high != 0
+        mixed, _ = _absorb([x[two] for x in pool], h, high[two])
+        for x, y in zip(pool, mixed):
+            x[two] = y
+    lo, hi = _generate_state(pool, 2)
+    seeds = lo | (hi << 32)
+    return int(seeds[0]) if np.ndim(frame_index) == 0 else seeds.reshape(np.shape(frame_index))
+
+
+def _pcg64_states(seeds: np.ndarray):
+    """Yield, for each uint64 seed in turn, the (state, inc) of PCG64(seed).
+
+    PCG64 takes SeedSequence(seed).generate_state(4, np.uint64) as a 128-bit
+    initial state and stream and applies pcg_setseq_128_srandom_r. The hashes
+    run on the whole array; the 128-bit steps on one row at a time.
+    """
+    zero = np.zeros_like(seeds)
+    pool, _ = _mix_entropy([seeds & _MASK32, seeds >> 32, zero, zero])
+    vals = np.empty((len(seeds), 4), dtype=np.uint64)
+    words = _generate_state(pool, 8)
+    for k, (lo, hi) in enumerate(zip(words, words)):
+        vals[:, k] = lo | (hi << 32)
+    del zero, pool, lo, hi          # only vals stays while the rows are yielded
+    for row in vals:
+        s_hi, s_lo, seq_hi, seq_lo = row.tolist()
+        inc = (((seq_hi << 64 | seq_lo) << 1) | 1) & _MASK128
+        yield ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
+
+
+# Peak bytes per frame of frame_seed and _pcg64_states on a block of frames
+# (145 measured with tracemalloc), so that a block keeps to CHUNK_BYTES.
+_SEED_BYTES_PER_FRAME = 160
+
+
+def _frame_states(master_seed: int, first_frame: int, count: int):
+    """Yield the (state, inc) of default_rng(frame_seed(master_seed, i)) for
+    frames i = first_frame, ..., first_frame + count - 1, deriving the seeds
+    one block of chunk_rows(_SEED_BYTES_PER_FRAME, count) frames at a time."""
+    if not 0 <= first_frame <= 2 ** 64 - count:
+        raise ValueError("frame indices must lie in [0, 2**64)")
+    block = chunk_rows(_SEED_BYTES_PER_FRAME, count)
+    for start in range(0, count, block):
+        index = np.arange(min(block, count - start), dtype=np.uint64)
+        index += np.uint64(first_frame + start)
+        yield from _pcg64_states(frame_seed(master_seed, index))
 
 
 def _synthesis_sigma(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,
@@ -208,7 +348,10 @@ def shared_frame_chunks(chains, resp: FrequencyResponse, acq: AcquisitionConfig,
     chunk holds about CHUNK_BYTES of spectrum, and every row equals
     synthesize_frame's frame for that chain and seed byte for byte. first_frame
     offsets the frame indices, so an ensemble can be produced in parts that
-    reproduce the exact same streams. Each chunk is a view into a buffer the
+    reproduce the exact same streams. Frame i's stream is that of
+    default_rng(frame_seed(master_seed, i)): the seeds and PCG64 states of a
+    block of frames are derived at once, and one generator of this call's own
+    is set to each state in turn. Each chunk is a view into a buffer the
     next one overwrites: consume or copy it before advancing.
     """
     count = acq.frames if n_frames is None else n_frames
@@ -225,10 +368,15 @@ def shared_frame_chunks(chains, resp: FrequencyResponse, acq: AcquisitionConfig,
     noise = np.empty((rows, 2, nbins))
     spec = np.empty((rows, nbins), dtype=np.complex128)
     full = np.empty((rows, 2 * n))
+    bitgen = np.random.PCG64(0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    states = _frame_states(master_seed, first_frame, count)
     for start in range(0, count, rows):
         k = min(rows, count - start)
         for r in range(k):
-            rng = np.random.default_rng(frame_seed(master_seed, first_frame + start + r))
+            state["state"]["state"], state["state"]["inc"] = next(states)
+            bitgen.state = state
             rng.standard_normal(out=noise[r])      # re, then im
         for j, a in enumerate(amp):
             np.multiply(a[0], noise[:k, 0], out=spec.real[:k])

@@ -205,6 +205,24 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep-loss", "--monte-carlo"]],
+                             ids=["simulate", "sweep-loss"])
+    def test_negative_seed_exit_2_before_any_output(self, tmp_path, config_path, capsys,
+                                                    command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**SMALL_CONFIG, "seed": -5}))
+        assert run("--config", path, "--out", tmp_path / "config", *command) == 2
+        err = capsys.readouterr().err
+        assert "seed must be a non-negative integer, got -5" in err
+        assert "Traceback" not in err
+        with pytest.raises(SystemExit) as stop:
+            run("--config", config_path, "--seed", -1, "--out", tmp_path / "flag", *command)
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: seed must be a non-negative integer, got '-1'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "config").exists() and not (tmp_path / "flag").exists()
+
     @pytest.mark.parametrize("duration_ns", [1e19, 1e-9, math.inf, math.nan])
     def test_sample_interval_the_header_cannot_hold_exit_2(self, tmp_path, capsys,
                                                            duration_ns):

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from opahd import signal_chain
 from opahd.gaussian import ChainModel, loss, paper_default_chain, squeeze
 from opahd.signal_chain import (CHUNK_BYTES, AcquisitionConfig,
                                 Ensemble, FrequencyResponse, electrical_floor, extract_wavepacket,
-                                frame_seed, model_variance, psd_model,
+                                _pcg64_states, frame_seed, model_variance, psd_model,
                                 synthesize_frame, synthesize_frames)
 
 VACUUM = ChainModel()
@@ -142,6 +143,73 @@ class TestSynthesis:
     def test_frame_seed_unique(self):
         seeds = {frame_seed(9, i) for i in range(1000)}
         assert len(seeds) == 1000
+
+
+# Master seeds of one to five 32-bit words, and frame indices whose spawn key
+# is one word or two.
+MASTER_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 128 + 1]
+FRAME_INDICES = [0, 1, 2, 2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40 + 7,
+                 2 ** 64 - 1]
+
+
+class TestVectorizedSeeding:
+    @pytest.mark.parametrize("master", MASTER_SEEDS)
+    def test_frame_seed_matches_seed_sequence(self, master):
+        seeds = frame_seed(master, np.array(FRAME_INDICES, dtype=np.uint64))
+        assert seeds.dtype == np.uint64
+        expected = [int(np.random.SeedSequence(master, spawn_key=(i,))
+                        .generate_state(2, np.uint64)[0]) for i in FRAME_INDICES]
+        assert seeds.tolist() == expected
+        assert [frame_seed(master, i) for i in FRAME_INDICES] == expected
+        assert all(type(frame_seed(master, i)) is int for i in FRAME_INDICES)
+
+    @pytest.mark.parametrize("master", MASTER_SEEDS)
+    def test_states_match_pcg64(self, master):
+        seeds = frame_seed(master, np.array(FRAME_INDICES, dtype=np.uint64))
+        states = list(_pcg64_states(seeds))
+        assert len(states) == len(FRAME_INDICES)
+        for seed, (state, inc) in zip(seeds.tolist(), states):
+            assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
+
+    def test_negative_seed_or_index_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            frame_seed(-1, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            frame_seed(1, np.array([3, -1]))
+
+    def test_frames_past_two_to_the_32_match_per_frame_reference(self):
+        resp, acq = FrequencyResponse(), small_acq(frames=4, n=16, clearance=20.0)
+        chain = paper_default_chain()
+        first = 2 ** 32 - 2
+        ens = synthesize_frames(chain, resp, acq, 0.3, master_seed=5, n_frames=4,
+                                first_frame=first)
+        for i, row in enumerate(ens.samples):
+            ref = synthesize_frame(chain, resp, acq, 0.3, seed=frame_seed(5, first + i))
+            assert row.tobytes() == ref.samples[0].tobytes()
+
+    def test_seed_blocks_across_synthesis_chunks(self, monkeypatch):
+        # 16-sample frames in 3-row synthesis chunks, with seed blocks that
+        # end inside a chunk; 61 frames leave a ragged last block and chunk.
+        resp, acq = FrequencyResponse(), small_acq(frames=61, n=16, clearance=20.0)
+        chain = paper_default_chain()
+        whole = synthesize_frames(chain, resp, acq, 0.0, master_seed=8, first_frame=11)
+        blocks = []
+        real_frame_seed = signal_chain.frame_seed
+
+        def recording(master_seed, frame_index):
+            blocks.append(len(frame_index))
+            return real_frame_seed(master_seed, frame_index)
+
+        monkeypatch.setattr(signal_chain, "frame_seed", recording)
+        monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 3 * 16 * 17)
+        assert signal_chain.chunk_rows(16 * 17, 61) == 3
+        parts = synthesize_frames(chain, resp, acq, 0.0, master_seed=8, first_frame=11)
+        assert sum(blocks) == 61 and len(blocks) > 2
+        assert blocks[0] % 3 != 0 and blocks[-1] != blocks[0]
+        assert parts.samples.tobytes() == whole.samples.tobytes()
+        for i, row in enumerate(parts.samples):
+            ref = synthesize_frame(chain, resp, acq, 0.0, seed=frame_seed(8, 11 + i))
+            assert row.tobytes() == ref.samples[0].tobytes()
 
 
 class TestEnsemble:

@@ -260,7 +260,7 @@ def test_monte_carlo_sweep_draws_each_frame_once_per_seed(monkeypatch):
     frame_seed = signal_chain.frame_seed
 
     def counting(master_seed, frame_index):
-        calls.append((master_seed, frame_index))
+        calls.extend((master_seed, int(i)) for i in np.ravel(frame_index))
         return frame_seed(master_seed, frame_index)
 
     monkeypatch.setattr(signal_chain, "frame_seed", counting)
