@@ -233,48 +233,62 @@ class SqueezeFitResult:
     n_iter: int
 
 
-def _pump_model_and_jacobian(pump_w: np.ndarray, sign: np.ndarray, big_l: float,
-                             a_coeff: float) -> tuple[np.ndarray, np.ndarray]:
-    root = np.sqrt(np.maximum(a_coeff * pump_w, 0.0))
-    e = np.exp(sign * 2.0 * root)
-    model = big_l + (1.0 - big_l) * e
-    d_l = 1.0 - e
-    with np.errstate(divide="ignore", invalid="ignore"):
-        d_a = (1.0 - big_l) * e * sign * np.where(pump_w > 0, np.sqrt(pump_w / a_coeff), 0.0)
-    return model, np.column_stack([d_l, d_a])
+def _pump_model_and_jacobian(pump_w: np.ndarray, sign: np.ndarray, two_sign: np.ndarray,
+                             big_l: float, a_coeff: float) -> tuple[np.ndarray, np.ndarray]:
+    """R±(P) and its C-contiguous (n, 2) Jacobian in (L, a), for pump_w ≥ 0 and
+    a_coeff > 0; sign is ±1 per point and two_sign is 2 · sign."""
+    e = np.exp(two_sign * np.sqrt(a_coeff * pump_w))
+    gain = (1.0 - big_l) * e
+    jac = np.empty((len(e), 2))
+    jac[:, 0] = 1.0 - e
+    jac[:, 1] = gain * sign * np.sqrt(pump_w / a_coeff)
+    return big_l + gain, jac
 
 
 def fit_pump_curve(points: list[tuple[float, float, int]]) -> SqueezeFitResult:
     """Weighted nonlinear least squares of R±(P) = L + (1−L)exp(±2√(aP)).
 
-    points are (pump_w, level_rel, branch) with branch +1 for anti-squeezing
-    and −1 for squeezing. Residuals are weighted by 1/level, i.e. constant
-    variance on the dB scale. Deterministic multi-start initialization.
+    points are (pump_w, level_rel, branch) with pump_w ≥ 0 and branch +1 for
+    anti-squeezing and −1 for squeezing. Residuals are weighted by 1/level,
+    i.e. constant variance on the dB scale. Deterministic multi-start
+    initialization.
     """
     if len(points) < 3:
         raise ValueError("need at least three points")
-    pump = np.array([p[0] for p in points], dtype=float)
-    level = np.array([p[1] for p in points], dtype=float)
-    sign = np.array([p[2] for p in points], dtype=float)
-    if not (np.all(np.isfinite(pump)) and np.all(np.isfinite(level))):
+    table = np.array(points, dtype=float)
+    if table.ndim != 2 or table.shape[1] != 3:
+        raise ValueError("points must be (pump_w, level_rel, branch) triples")
+    pump, level, sign = table.T.copy()
+    if not (np.isfinite(pump).all() and np.isfinite(level).all()):
         raise ValueError("pump powers and levels must be finite")
-    if np.any(level <= 0):
+    lowest = pump.min()
+    if lowest < 0:
+        i = int(pump.argmin())
+        raise ValueError(f"pump powers must be non-negative; point {i} has {float(lowest)!r} W")
+    if (level <= 0).any():
         raise ValueError("levels must be positive (linear relative power)")
-    if not np.all(np.isin(sign, (-1.0, 1.0))):
+    if not (np.abs(sign) == 1.0).all():
         raise ValueError("branch must be +1 or -1")
-    if len(np.unique(pump)) < 2:
+    if lowest == pump.max():
         raise ValueError("points must span at least two pump powers")
+    # -0.0 becomes 0.0, so that √(P/a) is +0.0 at zero pump.
+    pump = np.where(pump > 0, pump, 0.0)
+    two_sign = sign * 2.0
     weights = 1.0 / level
+    weight_col = weights[:, None]
 
     def weighted_model(p):
-        model, jac = _pump_model_and_jacobian(pump, sign, p[0], p[1])
-        return (model - level) * weights, jac * weights[:, None]
+        big_l, a_coeff = p.tolist()
+        model, jac = _pump_model_and_jacobian(pump, sign, two_sign, big_l, a_coeff)
+        jac *= weight_col
+        return (model - level) * weights, jac
 
     bounds = (np.array([0.0, 1e-12]), np.array([1.0 - 1e-9, np.inf]))
+    refs = _highest_pump_points(pump, level, sign)
     best = None
     last_error: FitConvergenceError | None = None
     for l0 in (0.05, 0.3, 0.6):
-        for a0 in _initial_gain_coefficients(pump, level, sign, l0):
+        for a0 in _initial_gain_coefficients(refs, l0):
             try:
                 p, cost, cov, n_iter = levenberg_marquardt(
                     weighted_model, np.array([l0, a0]), bounds)
@@ -287,7 +301,7 @@ def fit_pump_curve(points: list[tuple[float, float, int]]) -> SqueezeFitResult:
         assert last_error is not None
         raise last_error
     p, cost, cov, n_iter = best
-    model, _ = _pump_model_and_jacobian(pump, sign, p[0], p[1])
+    model, _ = _pump_model_and_jacobian(pump, sign, two_sign, *p.tolist())
     resid = model - level
     return SqueezeFitResult(
         big_l=float(p[0]),
@@ -300,17 +314,23 @@ def fit_pump_curve(points: list[tuple[float, float, int]]) -> SqueezeFitResult:
     )
 
 
-def _initial_gain_coefficients(pump, level, sign, l0) -> list[float]:
-    """Gain-coefficient starting values from a log-linearization of whichever
-    branch is available at the highest nonzero pump power."""
-    guesses = []
+def _highest_pump_points(pump, level, sign) -> list[tuple[float, float]]:
+    """(pump, level) at each branch's highest nonzero pump power, anti-squeezing
+    first; the first such point where the highest power repeats."""
+    refs = []
     for branch in (1.0, -1.0):
-        mask = (sign == branch) & (pump > 0)
-        if not np.any(mask):
-            continue
-        i = np.argmax(pump[mask])
-        p_ref = pump[mask][i]
-        y_ref = level[mask][i]
+        branch_pump = np.where(sign == branch, pump, 0.0)
+        i = int(branch_pump.argmax())
+        if branch_pump[i] > 0:
+            refs.append((float(pump[i]), float(level[i])))
+    return refs
+
+
+def _initial_gain_coefficients(refs, l0) -> list[float]:
+    """Gain-coefficient starting values from a log-linearization of each
+    branch's highest-pump point (see _highest_pump_points)."""
+    guesses = []
+    for p_ref, y_ref in refs:
         inner = (y_ref - l0) / (1.0 - l0)
         if inner <= 0:
             continue

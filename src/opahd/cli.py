@@ -38,6 +38,11 @@ and shaped for every point, and only per-frame variances are kept, so its
 memory is O(chunk) + points × mc_frames × 8 bytes per seed. --mc-frames must
 be an integer >= 2 (exit 2 otherwise, before any synthesis).
 
+fit rejects (exit 2, naming the file and line) a levels row whose field count
+differs from the header's or whose field does not parse or overflows, and
+exits 3 when a field of the fit result is not finite. It makes the output
+directory only once it has a result to write.
+
 Exit codes: 0 success, 2 validation/usage error, 3 numeric failure, 4 I/O error.
 """
 from __future__ import annotations
@@ -311,9 +316,19 @@ def _read_levels_csv(path) -> list[tuple[float, float, int]]:
             raise ConfigError(
                 f"{path}: expected CSV header pump_mw,level_db,branch")
         for row in reader:
-            pump_w = float(row["pump_mw"]) * 1e-3
-            level = 10.0 ** (float(row["level_db"]) / 10.0)
-            branch = int(row["branch"])
+            where = f"{path}: line {reader.line_num}"
+            # DictReader files surplus fields under None and fills missing ones with None.
+            extra, missing = len(row.get(None, ())), list(row.values()).count(None)
+            if extra or missing:
+                width = len(reader.fieldnames)
+                raise ConfigError(f"{where} has {width + extra - missing} fields "
+                                  f"where the header has {width}")
+            try:
+                pump_w = float(row["pump_mw"]) * 1e-3
+                level = 10.0 ** (float(row["level_db"]) / 10.0)
+                branch = int(row["branch"])
+            except (ValueError, OverflowError) as err:
+                raise ConfigError(f"{where}: {err}") from None
             points.append((pump_w, level, branch))
     if not points:
         raise ConfigError(f"{path}: no data rows")
@@ -321,8 +336,6 @@ def _read_levels_csv(path) -> list[tuple[float, float, int]]:
 
 
 def cmd_fit(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     points = _read_levels_csv(args.levels_csv)
     result = ana.fit_pump_curve(points)
     report = {
@@ -336,6 +349,11 @@ def cmd_fit(args) -> int:
         "cost": result.cost,
         "iterations": result.n_iter,
     }
+    for field, value in report.items():
+        if value is not None and not np.isfinite(value).all():
+            raise ArithmeticError(f"fit result {field} is not finite; fit.json not written")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     traceio.write_json(out / "fit.json", report)
     floor = report["squeezing_floor_db"]
     floor_txt = f"{floor:.2f} dB floor" if floor is not None else "lossless"

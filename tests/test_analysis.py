@@ -216,7 +216,7 @@ class TestFitPumpCurve:
         res = fit_pump_curve(pts)
         pump = np.array([p[0] for p in pts])
         sign = np.array([p[2] for p in pts], dtype=float)
-        _, jac = _pump_model_and_jacobian(pump, sign, res.big_l, res.a_coeff)
+        _, jac = _pump_model_and_jacobian(pump, sign, 2.0 * sign, res.big_l, res.a_coeff)
         cond = np.linalg.cond(jac)
         assert np.isfinite(cond) and cond < 1e8
 
@@ -229,6 +229,8 @@ class TestFitPumpCurve:
             fit_pump_curve([(0.1, 1.0, 2), (0.2, 1.1, 1), (0.3, 1.2, 1)])
         with pytest.raises(ValueError):
             fit_pump_curve([(0.1, -1.0, 1), (0.2, 1.1, 1), (0.3, 1.2, 1)])
+        with pytest.raises(ValueError, match="point 1 has -0.2 W"):
+            fit_pump_curve([(0.1, 1.0, 1), (-0.2, 1.1, 1), (0.3, 1.2, 1)])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("field", [0, 1])
@@ -286,6 +288,151 @@ class TestLevenbergMarquardt:
             levenberg_marquardt(model, np.array([50.0]), ([-np.inf], [np.inf]), max_iter=1)
         assert info.value.last_params.shape == (1,)
 
+
+# The pump-curve fit as first written: one np.clip, np.diag and norm per damping
+# try, a column_stack Jacobian, and the start-point masks redone per L start.
+# fit_pump_curve must give the same bits on every curve.
+def _reference_model(pump_w, sign, big_l, a_coeff):
+    root = np.sqrt(np.maximum(a_coeff * pump_w, 0.0))
+    e = np.exp(sign * 2.0 * root)
+    model = big_l + (1.0 - big_l) * e
+    d_l = 1.0 - e
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_a = (1.0 - big_l) * e * sign * np.where(pump_w > 0, np.sqrt(pump_w / a_coeff), 0.0)
+    return model, np.column_stack([d_l, d_a])
+
+
+def _reference_lm(model_fn, p0, bounds, max_iter=200, tol=1e-12):
+    lo = np.asarray(bounds[0], dtype=float)
+    hi = np.asarray(bounds[1], dtype=float)
+    p = np.clip(np.asarray(p0, dtype=float), lo, hi)
+    r, jac = model_fn(p)
+    cost = float(r @ r)
+    lam = 1e-3
+    converged = False
+    n_iter = 0
+    for n_iter in range(1, max_iter + 1):
+        jtj = jac.T @ jac
+        jtr = jac.T @ r
+        if np.linalg.norm(jtr, np.inf) < tol * (1.0 + cost):
+            converged = True
+            break
+        stepped = False
+        for _ in range(60):
+            try:
+                step = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj) + 1e-30), -jtr)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            p_new = np.clip(p + step, lo, hi)
+            r_new, jac_new = model_fn(p_new)
+            cost_new = float(r_new @ r_new)
+            if cost_new <= cost:
+                rel_drop = (cost - cost_new) / max(cost, 1e-300)
+                p, r, jac, cost = p_new, r_new, jac_new, cost_new
+                lam = max(lam / 10.0, 1e-14)
+                stepped = True
+                if rel_drop < tol:
+                    converged = True
+                break
+            lam *= 10.0
+        if not stepped:
+            converged = True
+        if converged:
+            break
+    if not converged:
+        raise FitConvergenceError("no convergence", p, cost)
+    jtj = jac.T @ jac
+    dof = max(len(r) - len(p), 1)
+    try:
+        cov = np.linalg.inv(jtj) * (cost / dof)
+    except np.linalg.LinAlgError:
+        cov = np.full((len(p), len(p)), np.nan)
+    return p, cost, cov, min(n_iter, max_iter)
+
+
+def _reference_gains(pump, level, sign, l0):
+    guesses = []
+    for branch in (1.0, -1.0):
+        mask = (sign == branch) & (pump > 0)
+        if not np.any(mask):
+            continue
+        i = np.argmax(pump[mask])
+        inner = (level[mask][i] - l0) / (1.0 - l0)
+        if inner <= 0:
+            continue
+        root = abs(math.log(inner)) / 2.0
+        if root > 0:
+            guesses.append(root ** 2 / pump[mask][i])
+    return guesses or [1.0]
+
+
+def _reference_fit(points):
+    """(big_l, a_coeff, covariance, both residual arrays, cost, n_iter) as
+    float.hex, and the number of starts that raised FitConvergenceError."""
+    pump = np.array([p[0] for p in points], dtype=float)
+    level = np.array([p[1] for p in points], dtype=float)
+    sign = np.array([p[2] for p in points], dtype=float)
+    weights = 1.0 / level
+
+    def weighted_model(p):
+        model, jac = _reference_model(pump, sign, p[0], p[1])
+        return (model - level) * weights, jac * weights[:, None]
+
+    bounds = (np.array([0.0, 1e-12]), np.array([1.0 - 1e-9, np.inf]))
+    best, last_error, failed = None, None, 0
+    for l0 in (0.05, 0.3, 0.6):
+        for a0 in _reference_gains(pump, level, sign, l0):
+            try:
+                p, cost, cov, n_iter = _reference_lm(weighted_model, np.array([l0, a0]), bounds)
+            except FitConvergenceError as err:
+                last_error, failed = err, failed + 1
+                continue
+            if best is None or cost < best[1]:
+                best = (p, cost, cov, n_iter)
+    if best is None:
+        return ("raises", _hex(last_error.last_params), float(last_error.last_cost).hex()), failed
+    p, cost, cov, n_iter = best
+    resid = _reference_model(pump, sign, p[0], p[1])[0] - level
+    return (_hex(p), _hex(cov), _hex(resid[sign < 0]), _hex(resid[sign > 0]),
+            float(cost).hex(), n_iter), failed
+
+
+def _hex(values):
+    return tuple(float(x).hex() for x in np.ravel(values))
+
+
+def _fit_hex(points):
+    try:
+        res = fit_pump_curve(points)
+    except FitConvergenceError as err:
+        return ("raises", _hex(err.last_params), float(err.last_cost).hex())
+    return (_hex([res.big_l, res.a_coeff]), _hex(res.covariance),
+            _hex(res.residuals_squeeze), _hex(res.residuals_antisqueeze),
+            float(res.cost).hex(), res.n_iter)
+
+
+def test_fit_matches_reference_bit_for_bit():
+    """200 noisy curves: 8-256 points, one or two branches, with and without a
+    zero pump, at 0.01-3 dB noise, where some multi-starts do not converge."""
+    rng = np.random.default_rng(20240611)
+    sizes, branch_sets, zero_pump, failed_starts = set(), set(), 0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(200):
+            branches = ((-1,), (1,), (-1, 1))[rng.integers(3)]
+            per_branch = int(rng.integers(8, 257)) // len(branches)
+            first = 0.0 if rng.random() < 0.5 else rng.uniform(0.001, 0.05)
+            pumps = np.linspace(first, rng.uniform(0.1, 1.0), max(per_branch, 4))
+            pts = synth_points(rng.uniform(0.02, 0.8), rng.uniform(0.5, 30.0), pumps,
+                               branches, noise_db=rng.choice([0.01, 0.1, 1.0, 3.0]), rng=rng)
+            expected, failed = _reference_fit(pts)
+            assert _fit_hex(pts) == expected
+            sizes.add(len(pts))
+            branch_sets.add(branches)
+            zero_pump += first == 0.0
+            failed_starts += failed
+    assert min(sizes) <= 12 and max(sizes) >= 240
+    assert len(branch_sets) == 3 and zero_pump > 0 and failed_starts > 0
 
 def sweep_chain(target_sq_db=5.2, gain_db=35.0, eta_opa=0.79, eta_hd=0.10):
     """Source squeezing solved so the full chain measures target_sq_db."""

@@ -507,6 +507,42 @@ class TestFit:
         assert run("--out", tmp_path, "fit", path) == 2
         assert not (tmp_path / "fit.json").exists()
 
+    @pytest.mark.parametrize("row, fields", [("200", 1), ("200,-4", 2), ("200,-4,-1,7", 4)])
+    def test_row_field_count_exit_2(self, tmp_path, capsys, row, fields):
+        path = tmp_path / "levels.csv"
+        path.write_text(f"pump_mw,level_db,branch\n0,0,-1\n100,-3,-1\n{row}\n300,-5,-1\n")
+        assert run("--out", tmp_path / "out", "fit", path) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 4 has {fields} fields where the header has 3" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("row, message", [("100,-3,x", "invalid literal for int()"),
+                                              ("100,1e5,-1", "Numerical result out of range")])
+    def test_unparsable_field_names_line_exit_2(self, tmp_path, capsys, row, message):
+        path = tmp_path / "levels.csv"
+        path.write_text(f"pump_mw,level_db,branch\n0,0,-1\n{row}\n300,-5,-1\n")
+        assert run("--out", tmp_path / "out", "fit", path) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: line 3: " in err and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_pump_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "levels.csv"
+        path.write_text("pump_mw,level_db,branch\n0,0,-1\n100,-3,-1\n-200,-4,-1\n300,-5,-1\n")
+        assert run("--out", tmp_path / "out", "fit", path) == 2
+        assert "point 2 has -0.2 W" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_result_exit_3(self, tmp_path, capsys):
+        # Two points at zero pump and one at 1e-300 W: JᵀJ is singular, so the
+        # covariance is NaN.
+        path = tmp_path / "levels.csv"
+        path.write_text("pump_mw,level_db,branch\n0,0,-1\n0,0,1\n1e-297,0,-1\n")
+        assert run("--out", tmp_path / "out", "fit", path) == 3
+        assert "fit result covariance is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweepLoss:
     def test_table_columns_and_shape(self, tmp_path, config_path):
