@@ -233,16 +233,24 @@ class SqueezeFitResult:
     n_iter: int
 
 
-def _pump_model_and_jacobian(pump_w: np.ndarray, sign: np.ndarray, two_sign: np.ndarray,
-                             big_l: float, a_coeff: float) -> tuple[np.ndarray, np.ndarray]:
-    """R±(P) and its C-contiguous (n, 2) Jacobian in (L, a), for pump_w ≥ 0 and
-    a_coeff > 0; sign is ±1 per point and two_sign is 2 · sign."""
+def _pump_model(pump_w: np.ndarray, two_sign: np.ndarray, weights: np.ndarray,
+                signed_weights: np.ndarray, big_l: float, a_coeff: float):
+    """R±(P) at each point, and a callable giving the C-contiguous (n, 2)
+    Jacobian in (L, a) with row i scaled by weights[i]. For pump_w ≥ 0 and
+    a_coeff > 0; two_sign is 2 · sign and signed_weights is sign · weights,
+    with sign ±1 per point."""
     e = np.exp(two_sign * np.sqrt(a_coeff * pump_w))
     gain = (1.0 - big_l) * e
-    jac = np.empty((len(e), 2))
-    jac[:, 0] = 1.0 - e
-    jac[:, 1] = gain * sign * np.sqrt(pump_w / a_coeff)
-    return big_l + gain, jac
+
+    def jacobian() -> np.ndarray:
+        # gain · sqrt(P/a) · (sign · w) is (gain · sign) · sqrt(P/a) · w
+        # exactly, since a factor of ±1 only sets the sign.
+        jac = np.empty((len(e), 2))
+        np.multiply(1.0 - e, weights, out=jac[:, 0])
+        np.multiply(gain * np.sqrt(pump_w / a_coeff), signed_weights, out=jac[:, 1])
+        return jac
+
+    return big_l + gain, jacobian
 
 
 def fit_pump_curve(points: list[tuple[float, float, int]]) -> SqueezeFitResult:
@@ -275,33 +283,33 @@ def fit_pump_curve(points: list[tuple[float, float, int]]) -> SqueezeFitResult:
     pump = np.where(pump > 0, pump, 0.0)
     two_sign = sign * 2.0
     weights = 1.0 / level
-    weight_col = weights[:, None]
+    signed_weights = sign * weights
 
     def weighted_model(p):
-        big_l, a_coeff = p.tolist()
-        model, jac = _pump_model_and_jacobian(pump, sign, two_sign, big_l, a_coeff)
-        jac *= weight_col
+        model, jac = _pump_model(pump, two_sign, weights, signed_weights, *p)
         return (model - level) * weights, jac
 
-    bounds = (np.array([0.0, 1e-12]), np.array([1.0 - 1e-9, np.inf]))
+    bounds = ([0.0, 1e-12], [1.0 - 1e-9, math.inf])
     refs = _highest_pump_points(pump, level, sign)
     best = None
     last_error: FitConvergenceError | None = None
-    for l0 in (0.05, 0.3, 0.6):
-        for a0 in _initial_gain_coefficients(refs, l0):
-            try:
-                p, cost, cov, n_iter = levenberg_marquardt(
-                    weighted_model, np.array([l0, a0]), bounds)
-            except FitConvergenceError as err:
-                last_error = err
-                continue
-            if best is None or cost < best[1]:
-                best = (p, cost, cov, n_iter)
+    # A trial step that sends a far out overflows exp and ||r||²; its cost is
+    # inf and the step is rejected, so the warning would report nothing.
+    with np.errstate(over="ignore"):
+        for l0 in (0.05, 0.3, 0.6):
+            for a0 in _initial_gain_coefficients(refs, l0):
+                try:
+                    p, cost, cov, n_iter = levenberg_marquardt(weighted_model, [l0, a0], bounds)
+                except FitConvergenceError as err:
+                    last_error = err
+                    continue
+                if best is None or cost < best[1]:
+                    best = (p, cost, cov, n_iter)
     if best is None:
         assert last_error is not None
         raise last_error
     p, cost, cov, n_iter = best
-    model, _ = _pump_model_and_jacobian(pump, sign, two_sign, *p.tolist())
+    model, _ = _pump_model(pump, two_sign, weights, signed_weights, *p.tolist())
     resid = model - level
     return SqueezeFitResult(
         big_l=float(p[0]),

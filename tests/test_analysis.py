@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from opahd import fitting
 from opahd.analysis import (LossSweepRow, SpectrumEstimate, artifact_mask,
                             averaged_fft, fit_pump_curve, histogram,
                             loss_sweep, relative_level, variance_level)
@@ -210,14 +211,14 @@ class TestFitPumpCurve:
         assert res.big_l == pytest.approx(0.29, abs=1e-4)
 
     def test_jacobian_identifiable_at_optimum(self):
-        from opahd.analysis import _pump_model_and_jacobian
+        from opahd.analysis import _pump_model
 
         pts = synth_points(0.29, 6.0, np.linspace(0.05, 0.438, 8))
         res = fit_pump_curve(pts)
         pump = np.array([p[0] for p in pts])
         sign = np.array([p[2] for p in pts], dtype=float)
-        _, jac = _pump_model_and_jacobian(pump, sign, 2.0 * sign, res.big_l, res.a_coeff)
-        cond = np.linalg.cond(jac)
+        _, jac = _pump_model(pump, 2.0 * sign, np.ones(len(pts)), sign, res.big_l, res.a_coeff)
+        cond = np.linalg.cond(jac())
         assert np.isfinite(cond) and cond < 1e8
 
     def test_validation(self):
@@ -268,13 +269,40 @@ class TestFitPumpCurve:
         assert (float(res.cost).hex(), res.n_iter) == (cost, n_iter)
 
 
+def _eager(model_fn):
+    """model_fn with its Jacobian built at every point, as _reference_lm takes it."""
+    def model(p):
+        r, jac = model_fn(p)
+        return r, jac()
+    return model
+
+
+DECAY_T = np.linspace(0.0, 2.0, 9)
+DECAY_Y = 2.0 * np.exp(-0.7 * DECAY_T) + 0.01 * np.sin(7.0 * DECAY_T)
+
+
+def decay_rate_model(p):
+    """exp(−k t) against data from 2 exp(−0.7 t): one parameter, k."""
+    e = np.exp(-p[0] * DECAY_T)
+    return e - DECAY_Y / 2.0, lambda: (-DECAY_T * e)[:, None]
+
+
+def decay_model(p):
+    """A exp(−k t) against data from 2 exp(−0.7 t): parameters (A, k)."""
+    e = np.exp(-p[1] * DECAY_T)
+
+    def jac():
+        return np.column_stack([e, -p[0] * DECAY_T * e])
+    return p[0] * e - DECAY_Y, jac
+
+
 class TestLevenbergMarquardt:
     def test_linear_problem_one_step(self):
         jac = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         target = np.array([1.0, 2.0, 3.0])
         unbounded = (np.full(2, -np.inf), np.full(2, np.inf))
         params, cost, cov, _ = levenberg_marquardt(
-            lambda p: (jac @ p - target, jac), np.zeros(2), unbounded)
+            lambda p: (jac @ p - target, lambda: jac), np.zeros(2), unbounded)
         assert params == pytest.approx([1.0, 2.0], abs=1e-8)
         assert cost == pytest.approx(0.0, abs=1e-12)
 
@@ -282,11 +310,115 @@ class TestLevenbergMarquardt:
         # one iteration cannot reach the optimum from far away
         def model(p):
             return (np.array([math.exp(p[0]) - 2.0, p[0] ** 3 - 8.0, p[0] - 2.0]),
-                    np.array([[math.exp(p[0])], [3 * p[0] ** 2], [1.0]]))
+                    lambda: np.array([[math.exp(p[0])], [3 * p[0] ** 2], [1.0]]))
 
         with pytest.raises(FitConvergenceError) as info:
             levenberg_marquardt(model, np.array([50.0]), ([-np.inf], [np.inf]), max_iter=1)
         assert info.value.last_params.shape == (1,)
+
+    def test_bounds_of_another_length_rejected(self):
+        with pytest.raises(ValueError, match="2 lower and 2 upper"):
+            levenberg_marquardt(decay_model, [1.0, 0.2], ([0.0], [5.0]))
+
+    # (model, p0, bounds, the bound each parameter ends on: "lo", "hi" or None)
+    BOXED = {
+        "1p_lower_active": (decay_rate_model, [2.0], ([1.0], [5.0]), ["lo"]),
+        "1p_upper_active": (decay_rate_model, [0.2], ([0.0], [0.5]), ["hi"]),
+        "1p_p0_outside": (decay_rate_model, [10.0], ([0.0], [3.0]), [None]),
+        "2p_lower_active": (decay_model, [3.0, 1.0], ([2.5, 0.0], [10.0, 5.0]), ["lo", None]),
+        "2p_upper_active": (decay_model, [1.0, 0.2], ([0.0, 0.0], [10.0, 0.5]), [None, "hi"]),
+        "2p_p0_outside": (decay_model, [-1.0, 9.0], ([0.0, 0.0], [5.0, 3.0]), [None, None]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BOXED))
+    def test_bounded_fit_matches_reference_bit_for_bit(self, case):
+        model, p0, bounds, active = self.BOXED[case]
+        got = levenberg_marquardt(model, p0, bounds)
+        expected = _reference_lm(_eager(model), np.array(p0), bounds)
+        assert _lm_hex(got) == _lm_hex(expected)
+        assert got[3] > 1
+        for x, lo, hi, side in zip(got[0], *bounds, active):
+            assert x == {"lo": lo, "hi": hi}.get(side, x)
+            assert (lo < x < hi) == (side is None)
+
+    def test_overflowing_jacobian_exhausts_damping_like_reference(self):
+        # JᵀJ overflows to inf: every damped solve gives a NaN step, each one
+        # is rejected, and the covariance is NaN.
+        def model(p):
+            return DECAY_T * (p[0] + p[1]), lambda: np.full((len(DECAY_T), 2), 1e200)
+
+        bounds = ([-np.inf, -np.inf], [np.inf, np.inf])
+        with np.errstate(over="ignore"):
+            got = levenberg_marquardt(model, [1.0, 2.0], bounds)
+            expected = _reference_lm(_eager(model), np.array([1.0, 2.0]), bounds)
+        assert _lm_hex(got) == _lm_hex(expected)
+        assert got[0].tolist() == [1.0, 2.0] and got[3] == 1
+        assert np.isnan(got[2]).all()
+
+    def test_singular_covariance_like_reference(self):
+        # The residual ignores p[1]: JᵀJ is singular, so inv raises and the
+        # covariance is NaN.
+        def model(p):
+            r, jac = decay_rate_model(p)
+            return r, lambda: np.column_stack([jac()[:, 0], np.zeros(len(DECAY_T))])
+
+        bounds = ([0.0, 0.0], [5.0, 5.0])
+        got = levenberg_marquardt(model, [2.0, 1.0], bounds)
+        assert _lm_hex(got) == _lm_hex(_reference_lm(_eager(model), np.array([2.0, 1.0]),
+                                                     bounds))
+        assert got[0][1] == 1.0 and np.isnan(got[2]).all()
+
+    @pytest.mark.parametrize("failures", [1, 3, 60])
+    def test_singular_damped_solves_like_reference(self, monkeypatch, failures):
+        # Each singular solve multiplies the damping by 10 and tries again; 60
+        # in a row end the fit at p0.
+        def failing_first(solve):
+            calls = [0]
+
+            def patched(*args):
+                calls[0] += 1
+                if calls[0] <= failures:
+                    raise np.linalg.LinAlgError("Singular matrix")
+                return solve(*args)
+            return patched
+
+        bounds = ([0.0, 0.0], [10.0, 5.0])
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", failing_first(np.linalg.solve))
+            expected = _reference_lm(_eager(decay_model), np.array([1.0, 0.2]), bounds)
+        with monkeypatch.context() as patch:
+            patch.setattr(fitting, "_solve", failing_first(fitting._solve))
+            got = levenberg_marquardt(decay_model, [1.0, 0.2], bounds)
+        assert _lm_hex(got) == _lm_hex(expected)
+        assert (got[0].tolist() == [1.0, 0.2] and got[3] == 1) == (failures == 60)
+
+    def test_lapack_calls_match_numpy(self):
+        rng = np.random.default_rng(5)
+        for m in (1, 2, 3):
+            for _ in range(50):
+                a = rng.normal(size=(m, m)) * 10.0 ** rng.uniform(-8, 8)
+                b = rng.normal(size=m)
+                assert _hex(fitting._solve(a, b)) == _hex(np.linalg.solve(a, b))
+                assert _hex(fitting._inv(a)) == _hex(np.linalg.inv(a))
+        for singular in (np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]])):
+            with pytest.raises(np.linalg.LinAlgError):
+                fitting._solve(singular, np.ones(2))
+            with pytest.raises(np.linalg.LinAlgError):
+                fitting._inv(singular)
+
+    def test_clip_is_numpy_minimum_of_maximum(self):
+        values = [-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf, np.nan]
+        for x in values:
+            for lo in values[:-1]:
+                for hi in values[:-1]:
+                    if lo <= hi:
+                        expected = np.minimum(np.maximum(np.full(2, x), lo), hi)[0]
+                        assert float(fitting._clip(x, lo, hi)).hex() == float(expected).hex()
+
+
+def _lm_hex(result):
+    p, cost, cov, n_iter = result
+    return _hex(p), float(cost).hex(), _hex(cov), n_iter
 
 
 # The pump-curve fit as first written: one np.clip, np.diag and norm per damping

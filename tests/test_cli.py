@@ -5,9 +5,12 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,6 +536,20 @@ class TestFit:
         assert run("--out", tmp_path / "out", "fit", path) == 2
         assert "point 2 has -0.2 W" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_trial_steps_leave_stderr_empty(self, tmp_path):
+        # The multi-starts on this anti-squeezing curve try steps that send a
+        # far out, where exp and ||r||² overflow; those steps are rejected and
+        # the fit succeeds, so the run must not print numpy's overflow warnings.
+        path = tmp_path / "levels.csv"
+        path.write_text("pump_mw,level_db,branch\n11,-4.76,1\n158,-0.56,1\n442,5.19,1\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+        child = subprocess.run([sys.executable, "-W", "default", "-m", "opahd.cli",
+                                "--out", tmp_path / "out", "fit", path],
+                               env=env, capture_output=True, text=True)
+        assert child.returncode == 0
+        assert child.stderr == ""
+        assert (tmp_path / "out" / "fit.json").exists()
 
     def test_non_finite_result_exit_3(self, tmp_path, capsys):
         # Two points at zero pump and one at 1e-300 W: JᵀJ is singular, so the
