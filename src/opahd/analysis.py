@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import signal_chain
 from .fitting import FitConvergenceError, levenberg_marquardt
 from .gaussian import ChainModel, ChannelSpec, relative_quadrature_power
 # synthesize_frames stays importable from here beside the whole-ensemble API.
@@ -74,6 +75,9 @@ class FrameStats:
     row's |X|² is added in turn to the partial sum of its FFT_CHUNK_FRAMES-row
     group, which is the order in which numpy's sum(axis=0) adds the rows of a
     C-contiguous group, and each full group's partial goes into the total.
+    Whatever block add is handed, it is reduced in sub-chunks of at most
+    chunk_rows(8 * samples_per_frame, FFT_CHUNK_FRAMES) rows through buffers
+    allocated here, so no call makes a temporary the size of the block.
     """
 
     def __init__(self, config: AcquisitionConfig, frames: int,
@@ -89,7 +93,11 @@ class FrameStats:
         self.lo = np.float64(np.inf)
         self.hi = np.float64(-np.inf)
         self._power_sum = np.zeros(nbins)
-        self._rows = chunk_rows(16 * nbins, FFT_CHUNK_FRAMES)
+        self._rows = chunk_rows(8 * n, FFT_CHUNK_FRAMES)
+        # Per sub-chunk: the deviations from each frame's mean, then the
+        # windowed samples (_scratch), and their spectra (_spec).
+        self._scratch = np.empty((self._rows, n))
+        self._spec = np.empty((self._rows, nbins), dtype=np.complex128)
         # Row 0 holds the current group's partial sum, rows 1.. the |X|² of
         # the rows being added to it.
         self._buf = np.zeros((self._rows + 1, nbins))
@@ -102,21 +110,20 @@ class FrameStats:
             raise ValueError("chunk must be a rows × samples_per_frame block")
         if self.count + k > len(self.variances):
             raise ValueError(f"more than the {len(self.variances)} frames announced")
-        if k == 0:
-            return
-        self.variances[self.count:self.count + k] = frame_variances(chunk)
-        self.lo = np.minimum(self.lo, chunk.min())     # NaN propagates
-        self.hi = np.maximum(self.hi, chunk.max())
-        self.count += k
         buf = self._buf
         i = 0
         while i < k:
             m = min(k - i, self._rows, FFT_CHUNK_FRAMES - self._in_group)
             data = chunk[i:i + m]
+            scratch = self._scratch[:m]
+            _variances_into(data, self.variances[self.count:self.count + m], scratch)
+            self.lo = np.minimum(self.lo, data.min())     # NaN propagates
+            self.hi = np.maximum(self.hi, data.max())
+            self.count += m
             if self._win is not None:
-                data = data * self._win
+                data = np.multiply(data, self._win, out=scratch)
             power = buf[1:m + 1]
-            np.abs(np.fft.rfft(data, axis=1), out=power)
+            np.abs(np.fft.rfft(data, axis=1, out=self._spec[:m]), out=power)
             np.square(power, out=power)
             buf[0] = buf[:m + 1].sum(axis=0)
             self._in_group += m
@@ -170,12 +177,28 @@ def artifact_mask(freqs: np.ndarray, center_hz: float = AnalysisOptions.mask_cen
 
 
 def frame_variances(block: np.ndarray) -> np.ndarray:
-    """Per-frame sample variance of a frames × samples block."""
-    rows = chunk_rows(block.shape[1] * block.itemsize, len(block))
+    """Per-frame sample variance of a frames × samples block, block.var(axis=1)
+    bit for bit, taken a chunk of rows at a time through one buffer."""
+    n = block.shape[1]
+    rows = chunk_rows(8 * n, len(block))
     out = np.empty(len(block))
+    scratch = np.empty((rows, n))
     for i in range(0, len(block), rows):
-        out[i:i + rows] = block[i:i + rows].var(axis=1)
+        part = block[i:i + rows]
+        _variances_into(part, out[i:i + rows], scratch[:len(part)])
     return out
+
+
+def _variances_into(rows: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """rows.var(axis=1) into out, with scratch (rows' shape) for the deviations:
+    np.var's own sequence of ufuncs (numpy/_core/_methods.py), so the same bits."""
+    n = rows.shape[1]
+    np.add.reduce(rows, axis=1, out=out)
+    np.divide(out, n, out=out)
+    np.subtract(rows, out[:, None], out=scratch)
+    np.square(scratch, out=scratch)
+    np.add.reduce(scratch, axis=1, out=out)
+    np.divide(out, n, out=out)
 
 
 def variance_level(frames: Ensemble, shot_frames: Ensemble) -> tuple[float, float]:
@@ -210,14 +233,91 @@ def histogram(frames: Ensemble, bins: int) -> tuple[np.ndarray, np.ndarray]:
 
 def pooled_histogram(chunks, bins: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Histogram of all samples of the chunks, whose range is [lo, hi]: the
-    same edges and counts as one np.histogram call on all of them."""
+    same edges and counts as one np.histogram call on all of them.
+
+    np.histogram puts sample x in bin trunc(f), f = (x - first) / (last -
+    first) · bins, moved by one where x lies on the wrong side of the linspace
+    edges around it. Here f is computed for every sample, in blocks of
+    CHUNK_BYTES // 16 samples through buffers allocated once, and numpy's
+    corrections only for the samples whose f lies within _screen_margin of
+    an integer, at or past either end of the range, or NaN.
+    """
     if bins < 2:
         raise ValueError("need at least two bins")
     edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(lo, hi))
+    first, last = float(lo), float(hi)
+    if first == last:                   # np.histogram widens an empty range
+        first, last = first - 0.5, last + 0.5
+    width = last - first
+    margin = _screen_margin(first, last, width, bins)
+    block = signal_chain.CHUNK_BYTES // 16
+    f_buf, trunc_buf = np.empty(block), np.empty(block)
+    ok_buf, cmp_buf = np.empty(block, dtype=bool), np.empty(block, dtype=bool)
     counts = np.zeros(bins, dtype=np.intp)
-    for chunk in chunks:
-        counts += np.histogram(chunk, bins=bins, range=(lo, hi))[0]
+    # NaN, infinities and overflows are screened out; no warning is due.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for chunk in chunks:
+            flat = np.ravel(chunk)
+            for start in range(0, len(flat), block):
+                x = flat[start:start + block]
+                n = len(x)
+                f, t, ok, cmp = f_buf[:n], trunc_buf[:n], ok_buf[:n], cmp_buf[:n]
+                np.subtract(x, first, out=f)
+                np.divide(f, width, out=f)
+                np.multiply(f, bins, out=f)
+                np.trunc(f, out=t)
+                np.less(f, bins, out=ok)
+                np.subtract(f, t, out=f)            # the fraction of f, exactly
+                ok &= np.greater(f, margin, out=cmp)
+                ok &= np.less(f, 1.0 - margin, out=cmp)
+                rest = np.flatnonzero(np.logical_not(ok, out=ok))
+                t[rest] = bins                      # a bin past the last, cut off below
+                bin_of = f.view(np.intp)
+                np.copyto(bin_of, t, casting="unsafe")
+                counts += np.bincount(bin_of, minlength=bins + 1)[:bins]
+                if len(rest):
+                    counts += np.bincount(_numpy_bins(x[rest], first, last, width, edges),
+                                          minlength=bins)
     return edges, counts
+
+
+def _screen_margin(first: float, last: float, width: float, bins: int) -> float:
+    """A distance in bins such that a sample whose f (see pooled_histogram)
+    lies farther than it from every integer, with 0 < f < bins, has bin
+    trunc(f) in np.histogram: inside the range, and strictly between the
+    linspace edges around that bin, so that neither correction fires.
+
+    Let u = 2**-53 and M = max(|first|, |last|). While nothing underflows, the
+    four roundings in width = fl(last - first) and f = fl(fl(fl(x - first) /
+    width) · bins) each have relative error at most u, so f lies within 4.01u
+    · bins of the sample's exact position in bins. linspace makes edges[k] =
+    fl(fl(k · fl(width / bins)) + first): width's rounding and the next two
+    move it by under 3.01u · bins bins, and the last by under u · M, which is
+    u · bins · M / width bins. Together f and the edges can be off by under
+    u · bins · (7.04 + M / width) bins; 4u · bins · (5 + M / width) leaves
+    room for the rounding of the margin and of 1 - margin as well.
+
+    x - first is exact when it is subnormal, and a quotient under the normal
+    range gives f < margin, so only a subnormal linspace step width / bins
+    breaks the bound (numpy rejects a width that overflows). Then no sample
+    is settled by f, as none is whenever the margin reaches half a bin.
+    """
+    if width / bins < np.finfo(np.float64).tiny:
+        return math.inf
+    return 4.0 * 2.0 ** -53 * bins * (5.0 + max(abs(first), abs(last)) / width)
+
+
+def _numpy_bins(x: np.ndarray, first: float, last: float, width: float,
+                edges: np.ndarray) -> np.ndarray:
+    """np.histogram's bin of each sample of x in [first, last], as its
+    equal-bins loop finds it (numpy/lib/_histograms_impl.py)."""
+    bins = len(edges) - 1
+    x = x[(x >= first) & (x <= last)]
+    i = (((x - first) / width) * bins).astype(np.intp)
+    i[i == bins] -= 1
+    i[x < edges[i]] -= 1
+    i[(x >= edges[i + 1]) & (i != bins - 1)] += 1
+    return i
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,17 @@ line wins). An omitted plan-wdm flag, or sweep-loss --gains-db or
 
 simulate and analyze stream: simulate writes each trace file chunk by chunk
 as it synthesizes the frames, and analyze reduces each trace file chunk by
-chunk, with a second pass over the signal file for the histogram. Their
-memory is O(chunk) (signal_chain.CHUNK_BYTES), however many frames a config
-asks for. Every output file is written to a temporary file beside it and
-moved into place only when complete. JSON outputs never contain NaN or
-infinity. Before writing any output, analyze rejects (exit 2) a trace file
-with a non-finite sample and an artifact mask that leaves no plateau bin.
-Before writing a trace, simulate rejects (exit 2) a record_duration whose
-sample interval the trace header cannot hold (1 fs to 2**64 - 1 fs).
+chunk, with a second pass over the signal file for the histogram. Every
+chunked loop takes chunk_rows(8 * samples_per_frame, limit) rows, about
+signal_chain.CHUNK_BYTES (256 KiB) of samples, through buffers each stream
+allocates once. Their memory is O(chunk) however many frames a config asks
+for, plus 8 bytes per frame per stream for the per-frame variances. Every
+output file is written to a temporary file beside it and moved into place
+only when complete. JSON outputs never contain NaN or infinity. Before
+writing any output, analyze rejects (exit 2) a trace file with a non-finite
+sample and an artifact mask that leaves no plateau bin. Before writing a
+trace, simulate rejects (exit 2) a record_duration whose sample interval the
+trace header cannot hold (1 fs to 2**64 - 1 fs).
 
 Each of the two commands has two independent streams: simulate synthesizes,
 writes and takes the variances of the signal ensemble (seed) and of the shot
@@ -24,30 +27,31 @@ CPUs and a stream holds more than one chunk of samples, and for simulate when
 frames have at least THREADED_SYNTHESIS_MIN_SAMPLES samples, the shot stream
 runs on a worker thread (numpy releases the interpreter lock in its RNG, FFTs
 and file I/O). Shorter frames stay on one thread: there a second stream saves
-little time and still adds about 2 MB of peak RSS. Each stream's chunks are
-half the size one stream took alone, so the chunk buffers take the same
-memory. The outputs do not depend on it. If either stream
-fails, the other stops at its next chunk and the command exits as it would
-have on one thread. main first allocates and frees one 2 MiB block, which
-stops glibc from mapping and unmapping the per-chunk temporaries on every
-call (see MMAP_BLOCK_BYTES).
+little time and still adds about 2 MB of peak RSS. The outputs do not depend
+on it. If either stream fails, the other stops at its next chunk and the
+command exits as it would have on one thread. main first allocates and frees
+one 2 MiB block, which stops glibc from mapping and unmapping the per-chunk
+temporaries on every call (see MMAP_BLOCK_BYTES).
 
 sweep-loss --monte-carlo shares the signal and shot seeds' per-frame streams
 across all points (common random numbers): each frame's noise is drawn once
 and shaped for every point, and only per-frame variances are kept, so its
-memory is O(chunk) + points × mc_frames × 8 bytes per seed. --mc-frames must
-be an integer >= 2 (exit 2 otherwise, before any synthesis).
+memory is O(chunk) + 16 bytes × points × mc_frames (8 per seed).
+--mc-frames must be an integer >= 2 (exit 2 otherwise, before any synthesis).
 
 fit rejects (exit 2, naming the file and line) a levels row whose field count
 differs from the header's or whose field does not parse or overflows, and
 exits 3 when a field of the fit result is not finite. It makes the output
 directory only once it has a result to write.
 
-Exit codes: 0 success, 2 validation/usage error, 3 numeric failure, 4 I/O error.
+Exit codes: 0 success, 2 validation/usage error, 3 numeric failure, 4 I/O or
+memory error. A command that fails removes the output directory if it made
+it and the directory is still empty.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -420,17 +424,24 @@ def main(argv=None) -> int:
     np.empty(MMAP_BLOCK_BYTES, dtype=np.uint8)      # freed at once, never touched
     parser = build_parser()
     args = parser.parse_args(argv)
+    made_out = not os.path.lexists(args.out)
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, traceio.TraceFormatError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        message, code = f"error: {err}", EXIT_USAGE
     except (FitConvergenceError, FloatingPointError, ArithmeticError) as err:
-        print(f"numeric failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
+        message, code = f"numeric failure: {err}", EXIT_NUMERIC
     except OSError as err:
-        print(f"I/O error: {err}", file=sys.stderr)
-        return EXIT_IO
+        message, code = f"I/O error: {err}", EXIT_IO
+    except MemoryError as err:      # numpy's message names the refused allocation
+        message, code = f"memory error: {err}", EXIT_IO
+    print(message, file=sys.stderr)
+    if made_out:
+        # A failed command leaves no output directory it made; rmdir removes
+        # it only while it is empty.
+        with contextlib.suppress(OSError):
+            os.rmdir(args.out)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,13 +1,16 @@
 """Spectrum averaging, level estimation, pump-curve fit, loss sweep."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from opahd import fitting
+from opahd import fitting, signal_chain
 from opahd.analysis import (LossSweepRow, SpectrumEstimate, artifact_mask,
                             averaged_fft, fit_pump_curve, histogram,
-                            loss_sweep, relative_level, variance_level)
+                            loss_sweep, pooled_histogram, relative_level, variance_level)
 from opahd.fitting import FitConvergenceError, levenberg_marquardt
 from opahd.gaussian import (ChainModel, effective_efficiency, loss,
                             paper_default_chain, psa, pump_curve,
@@ -176,6 +179,101 @@ class TestHistogram:
         acq = small_acq(frames=1)
         with pytest.raises(ValueError):
             histogram(make_frames(np.zeros((1, 1024)), acq), bins=1)
+
+
+def ulp_neighbours(values, steps=4):
+    """values and each one's 1 .. steps ulp neighbours on both sides."""
+    out = [values]
+    for direction in (-np.inf, np.inf):
+        x = values
+        for _ in range(steps):
+            x = np.nextafter(x, direction)
+            out.append(x)
+    return np.concatenate(out)
+
+
+def assert_matches_numpy(chunks, bins, lo, hi):
+    edges, counts = pooled_histogram(chunks, bins, lo, hi)
+    ref_counts, ref_edges = np.histogram(np.concatenate([np.ravel(c) for c in chunks]),
+                                         bins=bins, range=(lo, hi))
+    assert np.array_equal(edges, ref_edges)
+    assert np.array_equal(counts, ref_counts)
+    assert counts.dtype == ref_counts.dtype
+
+
+def ragged_chunks(data, width=11):
+    """data, padded with copies of its last value, as 2-D chunks of 1, 2,
+    3, ... rows of `width` samples."""
+    pad = -len(data) % width
+    block = np.concatenate([data, np.full(pad, data[-1])]).reshape(-1, width)
+    chunks, start, rows = [], 0, 1
+    while start < len(block):
+        chunks.append(block[start:start + rows])
+        start, rows = start + rows, rows + 1
+    return chunks
+
+
+# (lo, hi) pairs: an ordinary range, a range offset far from zero, an empty
+# range (numpy widens it by ±0.5), one whose bins are subnormal, and one whose
+# edges lie near the largest float.
+RANGES = [(-3.7, 5.1), (1e6 - 1e-3, 1e6 + 1e-3), (-2.5, -2.5), (0.0, 1e-310),
+          (-8e307, 8e307)]
+
+
+class TestPooledHistogram:
+    """pooled_histogram's screened count equals np.histogram's counts exactly."""
+
+    @pytest.mark.parametrize("lo, hi", RANGES)
+    @pytest.mark.parametrize("bins", [2, 200, 1000])
+    def test_edges_and_their_ulp_neighbours(self, monkeypatch, lo, hi, bins):
+        # Blocks of 37 samples, so that the chunks straddle block boundaries.
+        monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 16 * 37)
+        first, last = (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(lo, hi))
+        data = ulp_neighbours(np.concatenate([edges, [first, last, hi, hi]]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_matches_numpy(ragged_chunks(data), bins, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", RANGES[:3])
+    def test_out_of_range_nan_and_infinite_samples(self, monkeypatch, lo, hi):
+        monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 16 * 37)
+        specials = np.array([np.nan, np.inf, -np.inf, 1.7e308, -1.7e308, lo - 1.0, hi + 1.0,
+                             np.nextafter(lo - 0.5, -np.inf), np.nextafter(hi + 0.5, np.inf)])
+        rng = np.random.default_rng(5)
+        inside = lo + (hi - lo) * rng.random(200)
+        data = rng.permutation(np.concatenate([specials, inside, specials]))
+        assert_matches_numpy(ragged_chunks(data, width=7), 200, lo, hi)
+
+    def test_chunks_straddling_blocks_at_the_default_budget(self):
+        rng = np.random.default_rng(9)
+        block = signal_chain.CHUNK_BYTES // 16
+        data = rng.standard_normal(3 * block + 5) * 40.0
+        chunks = [data[:block - 3].reshape(1, -1), data[block - 3:2 * block + 1].reshape(2, -1),
+                  data[2 * block + 1:].reshape(-1, 2)]
+        lo, hi = data.min(), data.max()
+        assert_matches_numpy(chunks, 200, lo, hi)
+        edges, _ = pooled_histogram([], 200, lo, hi)
+        assert_matches_numpy(chunks + [ulp_neighbours(edges)], 1000, lo, hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.floats(-1e12, 1e12), span=st.floats(0.0, 1e6), bins=st.integers(2, 1000),
+           seed=st.integers(0, 2 ** 32 - 1), budget=st.integers(1, 400))
+    def test_random_ranges_and_data(self, lo, span, bins, seed, budget):
+        hi = lo + span
+        rng = np.random.default_rng(seed)
+        try:
+            edges = np.histogram_bin_edges(np.empty(0), bins=bins, range=(lo, hi))
+        except ValueError:      # numpy's bins would not be distinct
+            with pytest.raises(ValueError):
+                pooled_histogram([np.array([lo, hi])], bins, lo, hi)
+            return
+        data = np.concatenate([lo + (hi - lo) * rng.random(300),
+                               ulp_neighbours(rng.choice(edges, 20), steps=2),
+                               [lo, hi, np.nan, lo - span - 1.0, hi + span + 1.0]])
+        rng.shuffle(data)
+        with mock.patch.object(signal_chain, "CHUNK_BYTES", 16 * budget):
+            assert_matches_numpy(ragged_chunks(data, width=rng.integers(1, 30)), bins, lo, hi)
 
 
 def synth_points(big_l, a, pumps_w, branches=(-1, 1), noise_db=0.0, rng=None):

@@ -238,10 +238,9 @@ class TestSimulate:
         assert "Traceback" not in err
         if math.isfinite(duration_ns):
             assert "record_duration gives a sample interval of" in err
-            assert list(out.iterdir()) == []
         else:   # rejected at load, before the output directory is made
             assert "record_duration must be finite and positive" in err
-            assert not out.exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("section, key, field", [
@@ -282,7 +281,7 @@ class TestSimulate:
         monkeypatch.setattr("opahd.cli.frame_chunks", disk_full_after_one_chunk)
         fresh = tmp_path / "fresh"
         assert run("--config", config_path, "--out", fresh, "simulate") == 4
-        assert list(fresh.iterdir()) == []
+        assert not fresh.exists()
         assert run("--config", config_path, "--out", kept, "simulate") == 4
         assert (kept / "signal.trace").read_bytes() == before
         assert sorted(p.name for p in kept.iterdir()) == [
@@ -327,7 +326,7 @@ class TestSimulate:
         assert not shot_thread[0].is_alive()
         # Stopped at its first or second chunk, whichever followed the failure.
         assert len(signal_chunks) <= 2
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_unparseable_config_exit_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -401,6 +400,38 @@ def test_golden_sha256_serial_and_concurrent(tmp_path, monkeypatch, cpus, min_sa
     assert {name: len(ids) for name, ids in idents.items()} == threads
 
 
+# Each command's per-frame arrays, refused by numpy at these sizes: simulate's
+# variances at 2**32 - 1 frames (32 GiB), and the sweep's at 1e11 frames per
+# seed. The allocating function is patched, so no test asks for the memory.
+MEMORY_ERRORS = {
+    "simulate": ("opahd.cli._simulate_stream", (2 ** 32 - 1,), []),
+    "sweep-loss": ("opahd.analysis._sweep_variances", (2, 10 ** 11),
+                   ["--monte-carlo", "--mc-frames", str(10 ** 11)]),
+}
+
+
+@pytest.mark.parametrize("command", MEMORY_ERRORS)
+def test_memory_error_exit_4_without_output_directory(tmp_path, monkeypatch, capsys,
+                                                      command):
+    target, shape, flags = MEMORY_ERRORS[command]
+    message = (f"Unable to allocate 32.0 GiB for an array with shape {shape} "
+               f"and data type float64")
+
+    def refused(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(target, refused)
+    config = dict(SMALL_CONFIG, acquisition=dict(SMALL_CONFIG["acquisition"],
+                                                 frames=2 ** 32 - 1))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run("--config", path, "--out", out, command, *flags) == 4
+    err = capsys.readouterr().err
+    assert err == f"memory error: {message}\n"
+    assert not out.exists()
+
+
 class TestAnalyze:
     def test_vacuum_self_analysis_is_zero_db(self, tmp_path, config_path, capsys):
         cfg = json.loads(config_path.read_text())
@@ -453,7 +484,7 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "mask_center_ghz, mask_width_ghz" in err
         assert "Traceback" not in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["signal.trace", "shot.trace"])
     def test_non_finite_sample_exit_2_before_any_output(self, tmp_path, config_path,
@@ -467,7 +498,7 @@ class TestAnalyze:
         assert run("--config", config_path, "--out", out, "analyze",
                    traces / "signal.trace", traces / "shot.trace") == 2
         assert f"{traces / bad}: non-finite" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestFit:

@@ -6,8 +6,8 @@ import pytest
 
 from opahd import signal_chain
 from opahd.gaussian import ChainModel, loss, paper_default_chain, squeeze
-from opahd.signal_chain import (CHUNK_BYTES, AcquisitionConfig,
-                                Ensemble, FrequencyResponse, electrical_floor, extract_wavepacket,
+from opahd.signal_chain import (AcquisitionConfig, Ensemble, FrequencyResponse, chunk_rows,
+                                electrical_floor, extract_wavepacket,
                                 _pcg64_states, frame_seed, model_variance, psd_model,
                                 synthesize_frame, synthesize_frames)
 
@@ -103,7 +103,7 @@ class TestSynthesis:
     @pytest.mark.parametrize("n", [512, 12512])
     def test_rows_match_per_frame_reference(self, n):
         # three chunks of batched synthesis, the last one ragged
-        rows = CHUNK_BYTES // (16 * (n + 1))
+        rows = chunk_rows(8 * n, 2 ** 32)
         count = 2 * rows + (rows + 1) // 2
         assert count % rows != 0
         resp, acq = FrequencyResponse(), small_acq(frames=count, n=n, clearance=20.0)
@@ -188,9 +188,9 @@ class TestVectorizedSeeding:
             assert row.tobytes() == ref.samples[0].tobytes()
 
     def test_seed_blocks_across_synthesis_chunks(self, monkeypatch):
-        # 16-sample frames in 3-row synthesis chunks, with seed blocks that
-        # end inside a chunk; 61 frames leave a ragged last block and chunk.
-        resp, acq = FrequencyResponse(), small_acq(frames=61, n=16, clearance=20.0)
+        # 32-sample frames in 3-row synthesis chunks, with 5-frame seed blocks
+        # that end inside a chunk; 61 frames leave a ragged last block and chunk.
+        resp, acq = FrequencyResponse(), small_acq(frames=61, n=32, clearance=20.0)
         chain = paper_default_chain()
         whole = synthesize_frames(chain, resp, acq, 0.0, master_seed=8, first_frame=11)
         blocks = []
@@ -202,7 +202,7 @@ class TestVectorizedSeeding:
 
         monkeypatch.setattr(signal_chain, "frame_seed", recording)
         monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 3 * 16 * 17)
-        assert signal_chain.chunk_rows(16 * 17, 61) == 3
+        assert signal_chain.chunk_rows(8 * 32, 61) == 3
         parts = synthesize_frames(chain, resp, acq, 0.0, master_seed=8, first_frame=11)
         assert sum(blocks) == 61 and len(blocks) > 2
         assert blocks[0] % 3 != 0 and blocks[-1] != blocks[0]

@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opahd import signal_chain, traceio
-from opahd.analysis import (FFT_CHUNK_FRAMES, FrameStats, _modified_chain, averaged_fft,
-                            histogram, level_from_variances, loss_sweep, pooled_histogram,
-                            variance_level)
+from opahd.analysis import (FFT_CHUNK_FRAMES, WINDOWS, FrameStats, _modified_chain,
+                            averaged_fft, histogram, level_from_variances, loss_sweep,
+                            pooled_histogram, variance_level)
 from opahd.cli import main
 from opahd.gaussian import ChainModel, loss, psa, squeeze
-from opahd.signal_chain import AcquisitionConfig, FrequencyResponse, synthesize_frames
+from opahd.signal_chain import AcquisitionConfig, Ensemble, FrequencyResponse, synthesize_frames
 
 # A bound on each command's peak traced allocation that does not grow with the
 # frame count: half of one 512-frame ensemble (16 MiB at 4096 samples).
@@ -102,9 +102,8 @@ def streamed(path, window):
     return stats, edges, counts
 
 
-# 300 frames are a multiple neither of the read chunk (131 rows of 1000
-# samples by default, 7 with the small budget), nor of the FFT chunk (65 rows,
-# 6 with the small budget), nor of FFT_CHUNK_FRAMES.
+# 300 frames are a multiple neither of the read and FFT chunk (32 rows of 1000
+# samples by default, 7 with the small budget) nor of FFT_CHUNK_FRAMES.
 @pytest.mark.parametrize("chunk_bytes", [signal_chain.CHUNK_BYTES, 7 * 8000])
 @pytest.mark.parametrize("window", ["rectangular", "hann"])
 def test_streamed_route_matches_whole_ensemble_bit_for_bit(tmp_path, monkeypatch,
@@ -149,17 +148,58 @@ def test_streamed_route_matches_whole_ensemble_bit_for_bit(tmp_path, monkeypatch
 
 def test_one_chunk_budget_sets_every_chunk(tmp_path, monkeypatch):
     """signal_chain.CHUNK_BYTES, read at call time, sizes the synthesis, the
-    trace read and the FFT chunks: 16 bytes per spectrum bin, 8 per sample."""
+    trace read and the FFT chunks by one rule: chunk_rows(8 * samples_per_frame,
+    limit) rows, 8 bytes per sample."""
     acq = AcquisitionConfig(record_duration=6.25e-9, samples_per_frame=1000, frames=20)
-    monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 5 * 16 * 1001)
+    monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 5 * 8 * 1000 + 7999)
     ens = synthesize_frames(ChainModel(), FrequencyResponse(), acq)
     assert [len(c) for c in signal_chain.frame_chunks(ChainModel(), FrequencyResponse(),
                                                       acq)] == [5] * 4
-    assert FrameStats(acq, 20)._rows == 5 * 1001 // 501
+    assert FrameStats(acq, 20)._rows == 5
     with traceio.trace_writer(tmp_path / "t.trace", acq, 0.0, 20) as write:
         write(ens.samples)
     with traceio.TraceReader(tmp_path / "t.trace") as reader:
-        assert [len(c) for c in reader.chunks()] == [10, 10]
+        assert [len(c) for c in reader.chunks()] == [5] * 4
+
+
+# 300 frames: one full FFT_CHUNK_FRAMES group and a partial one.
+CHUNKINGS = {"one row": [1] * 300, "ragged": [1, 7, 33, 64, 100, 95], "whole block": [300]}
+
+
+@pytest.mark.parametrize("chunking", CHUNKINGS)
+@pytest.mark.parametrize("n", [1000, 1001])
+@pytest.mark.parametrize("window", ["rectangular", "hann"])
+def test_frame_stats_matches_the_per_group_reference_for_any_chunking(chunking, n, window):
+    block = np.random.default_rng(n).standard_normal((300, n)) * 2.0 + 0.3
+    acq = AcquisitionConfig(record_duration=n * 6.25e-12, samples_per_frame=n, frames=300)
+    stats = FrameStats(acq, 300, window)
+    start = 0
+    for rows in CHUNKINGS[chunking]:
+        stats.add(block[start:start + rows])
+        start += rows
+    win = WINDOWS[window](n)
+    expected = reference_power_sum(block, win) * (
+        1.0 / (acq.sample_rate * np.sum(win ** 2)) / 300)
+    expected[1:(n + 1) // 2] *= 2.0
+    assert stats.spectrum().power.tobytes() == expected.tobytes()
+    assert stats.variances.tobytes() == block.var(axis=1).tobytes()
+    assert (stats.lo, stats.hi) == (block.min(), block.max())
+
+
+@pytest.mark.parametrize("window", ["rectangular", "hann"])
+def test_averaged_fft_of_a_whole_block_allocates_a_few_chunks(window):
+    """FrameStats.add reduces any block through buffers of a few CHUNK_BYTES
+    (3.1 at 12512 samples); one temporary the size of this 51 MB block would
+    be 196 of them."""
+    acq = AcquisitionConfig(frames=512)
+    ens = Ensemble(np.random.default_rng(2).standard_normal((512, 12512)), acq, 0.0)
+    tracemalloc.start()
+    try:
+        averaged_fft(ens, window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * signal_chain.CHUNK_BYTES, f"peaked at {peak} bytes"
 
 
 def test_frame_stats_rejects_more_frames_than_announced():
@@ -235,13 +275,13 @@ def test_trace_file_round_trip(tmp_path_factory, n, frames, theta_urad, interval
 
 
 SWEEP_CHAIN = ChainModel(stages=(squeeze(1.0), psa(35.0, 0.79), loss(0.076)))
-# 512-sample frames with the electrical floor on: 127 rows per synthesis chunk
+# 512-sample frames with the electrical floor on: 64 rows per synthesis chunk
 # by default, 7 with the small budget; 300 frames is a multiple of neither.
 SWEEP_ACQ = AcquisitionConfig(record_duration=3.2e-9, samples_per_frame=512, frames=300,
                               clearance_at_43ghz_db=20.0)
 
 
-@pytest.mark.parametrize("chunk_bytes", [signal_chain.CHUNK_BYTES, 7 * 16 * 513])
+@pytest.mark.parametrize("chunk_bytes", [signal_chain.CHUNK_BYTES, 7 * 8 * 512])
 def test_monte_carlo_sweep_matches_per_point_ensembles_bit_for_bit(monkeypatch, chunk_bytes):
     monkeypatch.setattr(signal_chain, "CHUNK_BYTES", chunk_bytes)
     resp = FrequencyResponse()
