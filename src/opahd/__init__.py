@@ -4,8 +4,7 @@ measurement of squeezed light."""
 from .gaussian import (ChainModel, ChannelSpec, GaussianState,
                        effective_efficiency, homodyne_variance, loss,
                        paper_default_chain, phase, post_amplifier_loss, psa,
-                       pump_curve, relative_quadrature_power,
-                       source_chain_for_levels, squeeze, vacuum)
+                       pump_curve, relative_quadrature_power, squeeze)
 from .signal_chain import (AcquisitionConfig, Ensemble, FrequencyResponse,
                            extract_wavepacket, frame_chunks, model_variance,
                            psd_model, synthesize_frame, synthesize_frames)

@@ -238,9 +238,10 @@ def pooled_histogram(chunks, bins: int, lo: float, hi: float) -> tuple[np.ndarra
     np.histogram puts sample x in bin trunc(f), f = (x - first) / (last -
     first) · bins, moved by one where x lies on the wrong side of the linspace
     edges around it. Here f is computed for every sample, in blocks of
-    CHUNK_BYTES // 16 samples through buffers allocated once, and numpy's
-    corrections only for the samples whose f lies within _screen_margin of
-    an integer, at or past either end of the range, or NaN.
+    CHUNK_BYTES // 16 samples through buffers allocated once. The samples
+    whose f lies within _screen_margin of an integer, at or past either end of
+    the range, or NaN are counted by numpy's own np.histogram call with the
+    same bins and range; these sit in the few blocks that hold the extremes.
     """
     if bins < 2:
         raise ValueError("need at least two bins")
@@ -276,8 +277,7 @@ def pooled_histogram(chunks, bins: int, lo: float, hi: float) -> tuple[np.ndarra
                 np.copyto(bin_of, t, casting="unsafe")
                 counts += np.bincount(bin_of, minlength=bins + 1)[:bins]
                 if len(rest):
-                    counts += np.bincount(_numpy_bins(x[rest], first, last, width, edges),
-                                          minlength=bins)
+                    counts += np.histogram(x[rest], bins, range=(lo, hi))[0]
     return edges, counts
 
 
@@ -305,19 +305,6 @@ def _screen_margin(first: float, last: float, width: float, bins: int) -> float:
     if width / bins < np.finfo(np.float64).tiny:
         return math.inf
     return 4.0 * 2.0 ** -53 * bins * (5.0 + max(abs(first), abs(last)) / width)
-
-
-def _numpy_bins(x: np.ndarray, first: float, last: float, width: float,
-                edges: np.ndarray) -> np.ndarray:
-    """np.histogram's bin of each sample of x in [first, last], as its
-    equal-bins loop finds it (numpy/lib/_histograms_impl.py)."""
-    bins = len(edges) - 1
-    x = x[(x >= first) & (x <= last)]
-    i = (((x - first) / width) * bins).astype(np.intp)
-    i[i == bins] -= 1
-    i[x < edges[i]] -= 1
-    i[(x >= edges[i + 1]) & (i != bins - 1)] += 1
-    return i
 
 
 @dataclass(frozen=True)
@@ -474,7 +461,9 @@ def _modified_chain(chain: ChainModel, gain_db: float, added_loss: float) -> Cha
     return replace(chain, stages=tuple(stages))
 
 
-def loss_sweep(chain_base: ChainModel, added_loss_grid: list[float],
+def loss_sweep(chain_base: ChainModel,
+               added_loss_grid: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6,
+                                                      0.7, 0.8, 0.9),
                gains_db: tuple[float, ...] = (0.0, 35.0),
                monte_carlo: bool = False,
                resp: FrequencyResponse | None = None,

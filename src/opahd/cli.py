@@ -2,8 +2,9 @@
 
 Global flags: --config PATH, --seed N, --out DIR. Each flag can also be set
 through the environment as OPAHD_CONFIG, OPAHD_SEED, OPAHD_OUT (command
-line wins). An omitted plan-wdm flag, or sweep-loss --gains-db or
---mc-frames, leaves the default of wdm.plan_bands or analysis.loss_sweep.
+line wins). An omitted plan-wdm flag, or sweep-loss --added-loss, --gains-db
+or --mc-frames, leaves the default of wdm.plan_bands or analysis.loss_sweep.
+An empty --added-loss or --gains-db list is a usage error (exit 2).
 
 simulate and analyze stream: simulate writes each trace file chunk by chunk
 as it synthesizes the frames, and analyze reduces each trace file chunk by
@@ -15,9 +16,10 @@ for, plus 8 bytes per frame per stream for the per-frame variances. Every
 output file is written to a temporary file beside it and moved into place
 only when complete. JSON outputs never contain NaN or infinity. Before
 writing any output, analyze rejects (exit 2) a trace file with a non-finite
-sample and an artifact mask that leaves no plateau bin. Before writing a
-trace, simulate rejects (exit 2) a record_duration whose sample interval the
-trace header cannot hold (1 fs to 2**64 - 1 fs).
+sample, traces whose level or plateau statistics are not finite, and an
+artifact mask that leaves no plateau bin. Before writing a trace, simulate
+rejects (exit 2) a record_duration whose sample interval the trace header
+cannot hold (1 fs to 2**64 - 1 fs).
 
 Each of the two commands has two independent streams: simulate synthesizes,
 writes and takes the variances of the signal ensemble (seed) and of the shot
@@ -89,7 +91,11 @@ PLAN_FLAGS = (("--carrier-thz", "carrier_f", 1e12),
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
+    """A comma-separated list of at least one number."""
+    values = tuple(float(x) for x in text.split(",") if x.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
+    return values
 
 
 def _seed(text: str) -> int:
@@ -126,9 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CSV with columns pump_mw, level_db, branch (+1/-1)")
 
     p_sw = sub.add_parser("sweep-loss", help="squeezing level vs loss added after the amplifier")
-    p_sw.add_argument("--added-loss", type=_floats,
-                      default="0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9",
-                      help="comma-separated added-loss fractions")
+    p_sw.add_argument("--added-loss", dest="added_loss_grid", type=_floats,
+                      default=argparse.SUPPRESS, help="comma-separated added-loss fractions")
     p_sw.add_argument("--gains-db", type=_floats, default=argparse.SUPPRESS,
                       help="comma-separated gains (dB)")
     p_sw.add_argument("--monte-carlo", action="store_true",
@@ -297,6 +302,11 @@ def cmd_analyze(args) -> int:
         "artifact_mask_center_hz": center_hz,
         "artifact_mask_width_hz": width_hz,
     }
+    # write_json refuses NaN and infinity; checked here, before spectrum.csv is
+    # written, so that a failure leaves no output.
+    if not np.isfinite([level_db, err_db, plateau.mean(), plateau.std()]).all():
+        raise ValueError("the level or the plateau statistics are not finite: a sample "
+                         "power overflows or a plateau bin is zero")
 
     traceio.write_csv(out / "spectrum.csv", ["freq_hz", "power_rel", "power_db"],
                       ([f"{f:.6e}", f"{p:.9e}", f"{10 * math.log10(p):.6f}"]
@@ -370,8 +380,9 @@ def cmd_sweep_loss(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    given = {k: v for k, v in vars(args).items() if k in ("gains_db", "mc_frames")}
-    rows = ana.loss_sweep(cfg.chain, args.added_loss, monte_carlo=args.monte_carlo,
+    given = {k: v for k, v in vars(args).items()
+             if k in ("added_loss_grid", "gains_db", "mc_frames")}
+    rows = ana.loss_sweep(cfg.chain, monte_carlo=args.monte_carlo,
                           resp=cfg.response, acq=cfg.acquisition, master_seed=cfg.seed, **given)
     traceio.write_csv(
         out / "sweep.csv",

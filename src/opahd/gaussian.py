@@ -36,18 +36,10 @@ class GaussianState:
         if self.var_x <= 0 or self.var_p <= 0:
             raise ValueError("quadrature variances must be positive")
 
-    def uncertainty_product(self) -> float:
-        """det of the covariance matrix; ≥ 1/4 for physical states."""
-        return self.var_x * self.var_p - self.cov_xp ** 2
-
     def quadrature_variance(self, theta: float) -> float:
         """Variance of X cosθ + P sinθ."""
         c, s = math.cos(theta), math.sin(theta)
         return c * c * self.var_x + s * s * self.var_p + 2 * c * s * self.cov_xp
-
-
-def vacuum() -> GaussianState:
-    return GaussianState()
 
 
 # A channel V → X V Xᵀ + Y (Weedbrook et al., RMP 84, 621 (2012), §II) is an
@@ -155,10 +147,6 @@ class ChannelSpec:
         maps = build(*(p[k] for k, _, _ in ranges))
         object.__setattr__(self, "maps", tuple(m for m in maps if m != _IDENTITY))
 
-    def apply(self, state: GaussianState) -> GaussianState:
-        vx, c, vp = _fold(self.maps, state.var_x, state.cov_xp, state.var_p)
-        return GaussianState(var_x=vx, var_p=vp, cov_xp=c)
-
 
 def squeeze(r: float) -> ChannelSpec:
     return ChannelSpec("squeeze", {"r": float(r)})
@@ -263,34 +251,21 @@ def pump_curve(pump_w: float, big_l: float, a_coeff: float, sign: int) -> float:
     return big_l + (1.0 - big_l) * math.exp(sign * 2.0 * math.sqrt(a_coeff * pump_w))
 
 
-def source_chain_for_levels(squeezing_db: float, antisqueezing_db: float) -> ChainModel:
-    """Build a squeeze+loss chain that reproduces a measured squeezing /
-    anti-squeezing pair at the detector.
-
-    A single (r, η) pair is solved from the two target levels; this absorbs
-    any excess noise on the anti-squeezed quadrature into an effective loss.
-    """
-    if squeezing_db <= 0 or antisqueezing_db <= 0:
-        raise ValueError("levels must be positive dB magnitudes")
-    r_lo = 10.0 ** (-squeezing_db / 10.0)   # below shot
-    r_hi = 10.0 ** (antisqueezing_db / 10.0)  # above shot
-    if r_lo * r_hi < 1.0:
-        raise ValueError("levels violate the minimum-uncertainty bound")
-    # Solve eta·s + (1-eta) = r_lo and eta/s + (1-eta) = r_hi for s = e^{-2r}.
-    #   eta(1-s) = 1 - r_lo;  eta(1/s - 1) = r_hi - 1  =>  s = (1-r_lo)/(r_hi-1)
-    s = (1.0 - r_lo) / (r_hi - 1.0)
-    eta = (1.0 - r_lo) / (1.0 - s)
-    if not 0.0 < eta <= 1.0 or s <= 0:
-        raise ValueError("levels are not reachable by a squeeze+loss chain")
-    r = -0.5 * math.log(s)
-    return ChainModel(stages=(squeeze(r), loss(eta)))
-
-
 # Levels measured at 438 mW pump in the reference experiment.
 PAPER_SQUEEZING_DB = 5.2
 PAPER_ANTISQUEEZING_DB = 13.9
 
 
 def paper_default_chain() -> ChainModel:
-    """Squeezed source reproducing the −5.2 dB / +13.9 dB reference levels."""
-    return source_chain_for_levels(PAPER_SQUEEZING_DB, PAPER_ANTISQUEEZING_DB)
+    """Squeeze + loss chain reproducing the −5.2 dB / +13.9 dB reference levels.
+
+    One (r, η) pair is solved from the two levels R₋ and R₊, which absorbs
+    any excess noise on the anti-squeezed quadrature into an effective loss:
+    η·s + (1 − η) = R₋ and η/s + (1 − η) = R₊ give s = (1 − R₋)/(R₊ − 1),
+    with s = e^{−2r}.
+    """
+    r_lo = 10.0 ** (-PAPER_SQUEEZING_DB / 10.0)     # below shot
+    r_hi = 10.0 ** (PAPER_ANTISQUEEZING_DB / 10.0)  # above shot
+    s = (1.0 - r_lo) / (r_hi - 1.0)
+    eta = (1.0 - r_lo) / (1.0 - s)
+    return ChainModel(stages=(squeeze(-0.5 * math.log(s)), loss(eta)))

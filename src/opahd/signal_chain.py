@@ -114,7 +114,7 @@ class Ensemble:
         return Ensemble(samples=self.samples[i][None], config=self.config, theta=self.theta)
 
 
-def electrical_floor(resp: FrequencyResponse, acq: AcquisitionConfig) -> float:
+def _electrical_floor(resp: FrequencyResponse, acq: AcquisitionConfig) -> float:
     """Flat one-sided electrical noise floor, set so the shot noise at the
     reference photocurrent clears it by clearance_at_43ghz_db at 43 GHz."""
     if acq.clearance_at_43ghz_db is None:
@@ -146,7 +146,7 @@ def _one_sided_model(chain: ChainModel, resp: FrequencyResponse, acq: Acquisitio
     """The one-sided model S(f) of psd_model on an arbitrary frequency grid."""
     v_rel = relative_quadrature_power(chain, theta)
     shot = (acq.photocurrent / REFERENCE_PHOTOCURRENT_A) * (2.0 / acq.sample_rate)
-    return resp.magnitude_squared(freqs) * shot * v_rel + electrical_floor(resp, acq)
+    return resp.magnitude_squared(freqs) * shot * v_rel + _electrical_floor(resp, acq)
 
 
 def model_variance(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,

@@ -106,8 +106,8 @@ def write_traces(path: str | Path, ens: Ensemble) -> None:
 
 
 class TraceReader:
-    """An open trace file whose header and size have been checked, read whole
-    or chunk by chunk. Use it as a context manager, which closes the file."""
+    """An open trace file whose header and size have been checked, read chunk
+    by chunk. Use it as a context manager, which closes the file."""
 
     def __init__(self, path: str | Path):
         self.path = path
@@ -157,13 +157,6 @@ class TraceReader:
         if self._fh.readinto(out) != out.nbytes:
             raise TraceFormatError(f"{self.path}: truncated while reading")
 
-    def read(self) -> np.ndarray:
-        """All frames as one frames × samples array."""
-        out = np.empty((self.meta["frames"], self.meta["samples_per_frame"]), dtype="<f8")
-        self._fh.seek(HEADER_SIZE)
-        self._fill(out)
-        return out
-
     def chunks(self):
         """Yield the frames in order as rows × samples chunks of about
         signal_chain.CHUNK_BYTES. Each chunk is a view into one buffer that the
@@ -181,7 +174,9 @@ class TraceReader:
 def read_traces(path: str | Path) -> tuple[np.ndarray, dict]:
     """Load a trace file; returns (frames × samples array, header metadata)."""
     with TraceReader(path) as reader:
-        return reader.read(), reader.meta
+        out = np.empty((reader.meta["frames"], reader.meta["samples_per_frame"]), dtype="<f8")
+        reader._fill(out)           # the file is positioned just past the header
+        return out, reader.meta
 
 
 def config_from_meta(meta: dict) -> AcquisitionConfig:

@@ -1,12 +1,16 @@
 """CLI contract: subcommands, exit codes, config round trip, determinism."""
+import contextlib
 import csv
 import errno
 import hashlib
+import io
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 import threading
 
 from dataclasses import replace
@@ -500,6 +504,90 @@ class TestAnalyze:
         assert f"{traces / bad}: non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_sample_power_exit_2_before_any_output(self, tmp_path, config_path,
+                                                              capsys):
+        # A finite sample whose square overflows makes the level infinite,
+        # which levels.json cannot hold; spectrum.csv must not be left behind.
+        traces = tmp_path / "traces"
+        assert run("--config", config_path, "--out", traces, "simulate") == 0
+        with open(traces / "signal.trace", "r+b") as fh:
+            fh.seek(traceio.HEADER_SIZE + 8 * 1000)
+            fh.write(np.array([1e200], dtype="<f8").tobytes())
+        out = tmp_path / "out"
+        assert run("--config", config_path, "--out", out, "analyze",
+                   traces / "signal.trace", traces / "shot.trace") == 2
+        assert "the level or the plateau statistics are not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+# A trace file's body may take up to this many bytes, so that every fuzzed
+# file stays under 64 KiB; a header that implies more gets a shorter body.
+FUZZ_BODY_BYTES = 64 * 1024 - traceio.HEADER_SIZE - 8
+
+
+@st.composite
+def _trace_files(draw):
+    """(path kind, file bytes): a header, perhaps truncated, with each field
+    drawn from values that pass and that fail its check, then a body whose
+    length is up to 8 bytes off what the header implies."""
+    kind = draw(st.sampled_from(["file"] * 8 + ["directory", "missing"]))
+    magic = draw(st.sampled_from([traceio.MAGIC] * 4 + [b"SQZTRACF", bytes(8)]))
+    version = draw(st.sampled_from([traceio.VERSION] * 4 + [0, 2, 2 ** 32 - 1]))
+    n = draw(st.one_of(st.integers(0, 80), st.sampled_from([512, 2 ** 31, 2 ** 32 - 1])))
+    frames = draw(st.one_of(st.integers(0, 12), st.sampled_from([300, 2 ** 32 - 1])))
+    interval_fs = draw(st.one_of(st.sampled_from([0, 1, 6250, 2 ** 64 - 1]),
+                                 st.integers(0, 2 ** 64 - 1)))
+    theta = draw(st.integers(-2 ** 63, 2 ** 63 - 1))
+    header = struct.pack(traceio._HEADER_FMT, magic, version, n, frames, interval_fs, theta)
+    header = header[:draw(st.sampled_from([traceio.HEADER_SIZE] * 6 + [0, 39, 63]))]
+    implied = 8 * n * frames
+    if implied <= FUZZ_BODY_BYTES:
+        length = max(0, implied + draw(st.sampled_from([0] * 16 + list(range(-8, 9)))))
+    else:
+        length = draw(st.integers(0, FUZZ_BODY_BYTES))
+    scale = draw(st.sampled_from([1.0, 0.0, 1e-300, 1e300]))
+    samples = np.random.default_rng(draw(st.integers(0, 2 ** 32))).standard_normal(
+        length // 8 + 1) * scale
+    samples[draw(st.integers(0, length // 8))] = draw(st.sampled_from(
+        [1.0, 0.0, np.nan, np.inf, -np.inf, 1e308]))
+    body = samples.astype("<f8").tobytes()[:length]
+    return kind, header + body
+
+
+@settings(max_examples=150, deadline=None)
+@given(fuzzed=_trace_files(), position=st.sampled_from(["signal", "shot", "both"]))
+def test_fuzzed_trace_header_exits_cleanly(tmp_path_factory, fuzzed, position):
+    """analyze of a fuzzed trace file exits 0, 2, 3 (all-zero frames: a
+    zero-variance ensemble) or 4 with no traceback, and a failure leaves no
+    output directory. A header that implies a large file fails the size check
+    before any buffer is made."""
+    good = tmp_path_factory.getbasetemp() / "fuzz-good.trace"
+    if not good.exists():
+        acq = AcquisitionConfig(record_duration=64 * 6.25e-12, samples_per_frame=64,
+                                frames=4)
+        with traceio.trace_writer(good, acq, 0.0, 4) as write:
+            write(np.random.default_rng(0).standard_normal((4, 64)))
+    kind, data = fuzzed
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.trace"
+        if kind == "file":
+            path.write_bytes(data)
+        elif kind == "directory":
+            path.mkdir()
+        signal = path if position != "shot" else good
+        shot = path if position != "signal" else good
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run("--out", out, "analyze", signal, shot)
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert not out.exists()
+        else:
+            assert {p.name for p in out.iterdir()} == {"spectrum.csv", "levels.json",
+                                                        "histogram.csv"}
+
 
 class TestFit:
     @staticmethod
@@ -625,6 +713,22 @@ class TestSweepLoss:
         assert "gains_db" not in calls[0] and "mc_frames" not in calls[0]
         with open(tmp_path / "sweep.csv", newline="") as fh:
             assert {row["gain_db"] for row in csv.DictReader(fh)} == {"0.0", "35.0"}
+        assert run("--config", config_path, "--out", tmp_path, "sweep-loss") == 0
+        assert "added_loss_grid" not in calls[1]
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            losses = [row["added_loss"] for row in csv.DictReader(fh)]
+        assert losses == [f"0.{i}" for i in range(10)] * 2
+
+    @pytest.mark.parametrize("flag", ["--added-loss", "--gains-db"])
+    @pytest.mark.parametrize("value", ["", ","])
+    def test_empty_grid_exit_2_before_any_output(self, tmp_path, config_path, capsys,
+                                                  flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            run("--config", config_path, "--out", out, "sweep-loss", flag, value)
+        assert info.value.code == 2
+        assert "expected at least one number" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("frames", ["0", "1", "-3"])
     def test_too_few_mc_frames_exit_2_before_synthesis(self, tmp_path, config_path,

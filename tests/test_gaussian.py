@@ -8,20 +8,33 @@ from hypothesis import strategies as st
 from opahd.gaussian import (MAX_GAIN_DB, MAX_SQUEEZE_R, ChainModel, ChannelSpec,
                             GaussianState, effective_efficiency, homodyne_variance,
                             loss, paper_default_chain, phase, post_amplifier_loss,
-                            psa, pump_curve, relative_quadrature_power,
-                            source_chain_for_levels, squeeze, vacuum)
+                            psa, pump_curve, relative_quadrature_power, squeeze)
+
+
+def _state(*stages) -> GaussianState:
+    """The state a chain of these stages makes of vacuum."""
+    return ChainModel(stages=stages).propagate()
+
+
+def _det(state: GaussianState) -> float:
+    """det of the covariance matrix; ≥ 1/4 for physical states."""
+    return state.var_x * state.var_p - state.cov_xp ** 2
+
+
+# A prefix chain that leaves a state with unequal variances and a correlation.
+SKEWED = (squeeze(0.4), phase(0.3), loss(0.8))
 
 
 class TestVacuum:
     def test_convention(self):
-        v = vacuum()
+        v = GaussianState()
         assert (v.var_x, v.var_p, v.cov_xp) == (0.5, 0.5, 0)
 
     def test_loss_fixed_point(self):
-        assert loss(0.5).apply(vacuum()) == vacuum()
+        assert _state(loss(0.5)) == GaussianState()
 
     def test_rotation_invariance(self):
-        out = phase(1.23).apply(vacuum())
+        out = _state(phase(1.23))
         assert out.var_x == pytest.approx(0.5)
         assert out.var_p == pytest.approx(0.5)
         assert out.cov_xp == pytest.approx(0.0, abs=1e-15)
@@ -29,34 +42,31 @@ class TestVacuum:
 
 class TestSqueeze:
     def test_identity(self):
-        s = GaussianState(0.7, 0.6, 0.1)
-        assert squeeze(0.0).apply(s) == s
+        assert _state(*SKEWED, squeeze(0.0)) == _state(*SKEWED)
 
     def test_six_db(self):
         r = 0.3 * math.log(10.0)  # e^{-2r} = 10^{-0.6}
-        out = squeeze(r).apply(vacuum())
+        out = _state(squeeze(r))
         assert out.var_x == pytest.approx(10 ** -0.6 / 2, rel=1e-12)
         assert out.var_p == pytest.approx(10 ** 0.6 / 2, rel=1e-12)
 
     def test_inverse_composition(self):
-        out = squeeze(-0.5).apply(squeeze(0.5).apply(vacuum()))
+        out = _state(squeeze(0.5), squeeze(-0.5))
         assert out.var_x == pytest.approx(0.5, rel=1e-12)
         assert out.var_p == pytest.approx(0.5, rel=1e-12)
 
 
 class TestLoss:
     def test_identity(self):
-        s = GaussianState(0.7, 0.6, 0.1)
-        assert loss(1.0).apply(s) == s
+        assert _state(*SKEWED, loss(1.0)) == _state(*SKEWED)
 
     def test_full_loss_gives_vacuum(self):
-        s = squeeze(1.0).apply(vacuum())
-        assert loss(0.0).apply(s) == vacuum()
+        assert _state(squeeze(1.0), loss(0.0)) == GaussianState()
 
     def test_squeezed_mixing(self):
         # direct evaluation of V -> eta V + (1-eta) V_vac
-        s = GaussianState(var_x=0.05, var_p=1.3)
-        out = loss(0.71).apply(s)
+        r = 0.5 * math.log(10.0)  # var_x = 0.05
+        out = _state(squeeze(r), loss(0.71))
         assert out.var_x == pytest.approx(0.1805, rel=1e-12)
 
     @pytest.mark.parametrize("eta", [-0.1, 1.1])
@@ -67,19 +77,19 @@ class TestLoss:
 
 class TestPsa:
     def test_identity(self):
-        s = GaussianState(0.4, 0.8, 0.05)
-        out = psa(0.0, 1.0).apply(s)
+        s = _state(*SKEWED)
+        out = _state(*SKEWED, psa(0.0, 1.0))
         assert out.var_x == pytest.approx(s.var_x, rel=1e-12)
         assert out.var_p == pytest.approx(s.var_p, rel=1e-12)
 
     def test_pure_gain_on_vacuum(self):
-        out = psa(35.0, 1.0).apply(vacuum())
+        out = _state(psa(35.0, 1.0))
         assert out.var_x == pytest.approx(10 ** 3.5 / 2, rel=1e-12)
         assert out.var_p == pytest.approx(1 / (2 * 10 ** 3.5), rel=1e-12)
 
     def test_internal_loss_before_gain(self):
         # vacuum is loss-invariant, then amplified
-        out = psa(35.0, 0.79).apply(vacuum())
+        out = _state(psa(35.0, 0.79))
         assert out.var_x == pytest.approx(10 ** 3.5 * 0.5, rel=1e-12)
 
     def test_domain(self):
@@ -195,7 +205,7 @@ class TestChannelSpecValidation:
         chain = ChainModel(stages=(squeeze(r), phase(0.3), psa(35.0, 0.79), loss(0.076)))
         state = chain.propagate()
         assert all(math.isfinite(v) and v > 0 for v in (
-            state.var_x, state.var_p, state.uncertainty_product(),
+            state.var_x, state.var_p, _det(state),
             relative_quadrature_power(chain, 0.0)))
 
     @pytest.mark.parametrize("r", [math.nextafter(MAX_SQUEEZE_R, math.inf), -400.0, 1e6])
@@ -208,15 +218,11 @@ class TestChannelSpecValidation:
         assert spec.params == {"gain_db": 35.0, "eta_opa": 0.79}
         assert all(type(v) is float for v in spec.params.values())
 
-    def test_source_chain_infeasible_levels(self):
-        with pytest.raises(ValueError):
-            source_chain_for_levels(6.0, 5.0)  # product below uncertainty bound
-
     def test_psa_gain_bound_keeps_chain_finite(self):
         chain = ChainModel(stages=(psa(MAX_GAIN_DB, 0.79), phase(0.3), loss(0.076)))
         state = chain.propagate()
         assert all(math.isfinite(v) and v > 0 for v in (
-            state.var_x, state.var_p, state.uncertainty_product(),
+            state.var_x, state.var_p, _det(state),
             relative_quadrature_power(chain, 0.0)))
 
     @pytest.mark.parametrize("gain_db", [math.nextafter(MAX_GAIN_DB, math.inf), 7000.0])
@@ -276,15 +282,13 @@ _channels = st.one_of(
 @given(st.lists(_channels, min_size=1, max_size=6))
 @example([psa(9.0, 1.0), psa(30.0, 1.0), phase(1.0)])  # rotated 39 dB ellipse
 def test_uncertainty_preserved_along_chain(stages):
-    state = vacuum()
-    for stage in stages:
-        state = stage.apply(state)
-        assert state.uncertainty_product() >= 0.25 * (1 - 1e-9)
+    for k in range(1, len(stages) + 1):
+        assert _det(_state(*stages[:k])) >= 0.25 * (1 - 1e-9)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.floats(-1.2, 1.2), st.floats(0.0, 30.0))
 def test_psa_symplectic_when_lossless(r, gain_db):
-    state = squeeze(r).apply(vacuum())
-    out = psa(gain_db, 1.0).apply(state)
+    state = _state(squeeze(r))
+    out = _state(squeeze(r), psa(gain_db, 1.0))
     assert out.var_x * out.var_p == pytest.approx(state.var_x * state.var_p, rel=1e-9)

@@ -7,7 +7,7 @@ import pytest
 from opahd import signal_chain
 from opahd.gaussian import ChainModel, loss, paper_default_chain, squeeze
 from opahd.signal_chain import (AcquisitionConfig, Ensemble, FrequencyResponse, chunk_rows,
-                                electrical_floor, extract_wavepacket,
+                                extract_wavepacket,
                                 _pcg64_states, frame_seed, model_variance, psd_model,
                                 synthesize_frame, synthesize_frames)
 
@@ -79,7 +79,10 @@ class TestPsdModel:
     def test_clearance_at_43ghz(self):
         resp, acq = FrequencyResponse(), AcquisitionConfig()
         freqs, s = psd_model(VACUUM, resp, acq, 0.0)
-        floor = electrical_floor(resp, acq)
+        # Past the scope's cutoff |H|² is 0, so the model is the floor alone.
+        beyond = s[freqs > resp.scope_cutoff]
+        assert len(beyond) and np.all(beyond == beyond[0]) and beyond[0] > 0
+        floor = beyond[0]
         i = np.argmin(np.abs(freqs - 43e9))
         shot_part = s[i] - floor
         assert 10 * np.log10(shot_part / floor) == pytest.approx(20.0, abs=0.05)
