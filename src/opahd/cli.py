@@ -8,18 +8,22 @@ An empty --added-loss or --gains-db list is a usage error (exit 2).
 
 simulate and analyze stream: simulate writes each trace file chunk by chunk
 as it synthesizes the frames, and analyze reduces each trace file chunk by
-chunk, with a second pass over the signal file for the histogram. Every
-chunked loop takes chunk_rows(8 * samples_per_frame, limit) rows, about
-signal_chain.CHUNK_BYTES (256 KiB) of samples, through buffers each stream
-allocates once. Their memory is O(chunk) however many frames a config asks
-for, plus 8 bytes per frame per stream for the per-frame variances. Every
+chunk, with a second pass over the signal file for the histogram. Each
+chunked loop sizes its chunks so that every buffer it allocates, once per
+stream, holds about signal_chain.CHUNK_BYTES (256 KiB): synthesis counts its
+2 × samples_per_frame inverse-FFT output, the other loops 8 bytes per sample.
+Their memory is O(chunk) however many frames a config asks for, plus 8 bytes
+per frame per stream for the per-frame variances. Before writing a trace,
+simulate reserves the whole file (posix_fallocate), so a full disk exits 4
+before any sample is written. Every
 output file is written to a temporary file beside it and moved into place
 only when complete. JSON outputs never contain NaN or infinity. Before
 writing any output, analyze rejects (exit 2) a trace file with a non-finite
 sample, traces whose level or plateau statistics are not finite, and an
-artifact mask that leaves no plateau bin. Before writing a trace, simulate
-rejects (exit 2) a record_duration whose sample interval the trace header
-cannot hold (1 fs to 2**64 - 1 fs).
+artifact mask that leaves no plateau bin; numpy's overflow warnings on the
+way are silenced, so only the one-line error prints. Before writing a trace,
+simulate rejects (exit 2) a record_duration whose sample interval the trace
+header cannot hold (1 fs to 2**64 - 1 fs).
 
 Each of the two commands has two independent streams: simulate synthesizes,
 writes and takes the variances of the signal ensemble (seed) and of the shot
@@ -29,7 +33,7 @@ CPUs and a stream holds more than one chunk of samples, and for simulate when
 frames have at least THREADED_SYNTHESIS_MIN_SAMPLES samples, the shot stream
 runs on a worker thread (numpy releases the interpreter lock in its RNG, FFTs
 and file I/O). Shorter frames stay on one thread: there a second stream saves
-little time and still adds about 2 MB of peak RSS. The outputs do not depend
+little time and still adds about 1.5 MB of peak RSS. The outputs do not depend
 on it. If either stream fails, the other stops at its next chunk and the
 command exits as it would have on one thread. main first allocates and frees
 one 2 MiB block, which stops glibc from mapping and unmapping the per-chunk
@@ -156,11 +160,11 @@ def _load_config(args) -> ExperimentConfig:
 
 
 # Shorter frames are synthesized on one thread: a second stream's buffers and
-# thread stack add about 2.2 MB of peak RSS at any frame length, and at short
-# frames two threads save little time. simulate of 2 × 2048 frames of 512
-# samples took 0.48 s on one thread and on two, at 37.9 and 40.2 MB (+6 %);
-# at 1024 samples two threads saved 15 % for +2.1 MB, and at 2048, 13 % for
-# +2.2 MB (medians of 9 runs each, 2 CPUs).
+# thread stack add about 1.5 MB of peak RSS at any frame length, and at short
+# frames two threads save little time. simulate of 2 × 2048 frames took 0.59 s
+# on one thread and 0.56 s on two at 512 samples, at 38.8 and 40.4 MB; at 1024
+# samples two threads saved 2 % for +1.6 MB, and at 2048, 27 % for +1.5 MB
+# (medians of 15 runs each, 2 CPUs).
 THREADED_SYNTHESIS_MIN_SAMPLES = 2048
 
 
@@ -256,16 +260,26 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _quiet():
+    """numpy error state for analyze's reductions. A sample whose square
+    overflows makes them warn; the finiteness checks that follow turn such a
+    result into exit 2, so the warnings would only print above that error. The
+    state holds per thread, so the worker's stream sets it again."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _first_pass(reader: traceio.TraceReader, window: str, chunks) -> ana.FrameStats:
     """Reduce a trace file chunk by chunk; every sample must be finite."""
     stats = ana.FrameStats(reader.acquisition, reader.meta["frames"], window)
-    for chunk in chunks(reader.chunks()):
-        stats.add(chunk)
+    with _quiet():
+        for chunk in chunks(reader.chunks()):
+            stats.add(chunk)
     if not (np.isfinite(stats.lo) and np.isfinite(stats.hi)):
         raise traceio.TraceFormatError(f"{reader.path}: non-finite sample values")
     return stats
 
 
+@_quiet()
 def cmd_analyze(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)

@@ -14,9 +14,12 @@ import numpy as np
 from .gaussian import ChainModel, relative_quadrature_power
 
 REFERENCE_PHOTOCURRENT_A = 3.0e-3
-# Bytes of samples per chunk. Every chunked loop (synthesis, trace reads,
-# FrameStats, frame_variances) takes chunk_rows(8 * samples_per_frame, limit)
-# rows at a time, and the histogram counts CHUNK_BYTES // 16 samples at a time.
+# Bytes per chunk. Every chunked loop takes chunk_rows(row_bytes, limit) rows
+# at a time, with row_bytes its largest buffer's bytes per frame, so that each
+# buffer it holds fits CHUNK_BYTES: 8 * samples_per_frame for trace reads,
+# FrameStats and frame_variances, and 16 * samples_per_frame for synthesis,
+# whose irfft output holds 2 * samples_per_frame samples. The histogram counts
+# CHUNK_BYTES // 16 samples at a time.
 # analyze of 2 × 512 frames of 12512 samples, as a fresh process on 2 CPUs,
 # medians of 10 runs: 512 KiB 37.1 MB peak RSS in 0.45 s, 256 KiB 34.7 MB in
 # 0.47 s, 128 KiB 33.1 MB in 0.52 s. The interpreter and numpy take ~30 MB.
@@ -347,8 +350,10 @@ def shared_frame_chunks(chains, resp: FrequencyResponse, acq: AcquisitionConfig,
     of rows is drawn, then shaped by each chain's σ(f) in turn (common random
     numbers). Yields (start, j, chunk) for each chunk and, within it, each
     chain j in order: the rows start.. of chain j, together n_frames rows per
-    chain (default acq.frames). theta defaults to each chain's LO phase. Each
-    chunk holds about CHUNK_BYTES of samples, and every row equals
+    chain (default acq.frames). theta defaults to each chain's LO phase. A
+    chunk takes chunk_rows(16 * samples_per_frame, n_frames) rows, so that
+    each of its buffers (the draws, the spectrum and the 2n-sample irfft
+    output) holds at most about CHUNK_BYTES, and every row equals
     synthesize_frame's frame for that chain and seed byte for byte. first_frame
     offsets the frame indices, so an ensemble can be produced in parts that
     reproduce the exact same streams. Frame i's stream is that of
@@ -360,14 +365,16 @@ def shared_frame_chunks(chains, resp: FrequencyResponse, acq: AcquisitionConfig,
     count = acq.frames if n_frames is None else n_frames
     n = acq.samples_per_frame
     nbins = n + 1
-    # Amplitudes of the real and imaginary draws; DC and Nyquist are real.
-    amp = np.empty((len(chains), 2, nbins))
+    # One amplitude row per chain scales the real and the imaginary draws
+    # alike. DC and Nyquist are real and take σ itself; irfft never reads
+    # their imaginary parts.
+    amp = np.empty((len(chains), nbins))
     for a, chain in zip(amp, chains):
         sigma = _synthesis_sigma(chain, resp, acq, chain.lo_phase if theta is None else theta)
-        a[:, 1:-1] = sigma[1:-1] / math.sqrt(2.0)
-        a[0, [0, -1]] = sigma[[0, -1]]
-        a[1, [0, -1]] = 0.0
-    rows = chunk_rows(8 * n, count)
+        np.divide(sigma, math.sqrt(2.0), out=a)
+        a[[0, -1]] = sigma[[0, -1]]
+    # The largest buffer, full, holds 2n samples of 8 bytes per frame.
+    rows = chunk_rows(16 * n, count)
     noise = np.empty((rows, 2, nbins))
     spec = np.empty((rows, nbins), dtype=np.complex128)
     full = np.empty((rows, 2 * n))
@@ -382,8 +389,8 @@ def shared_frame_chunks(chains, resp: FrequencyResponse, acq: AcquisitionConfig,
             bitgen.state = state
             rng.standard_normal(out=noise[r])      # re, then im
         for j, a in enumerate(amp):
-            np.multiply(a[0], noise[:k, 0], out=spec.real[:k])
-            np.multiply(a[1], noise[:k, 1], out=spec.imag[:k])
+            np.multiply(a, noise[:k, 0], out=spec.real[:k])
+            np.multiply(a, noise[:k, 1], out=spec.imag[:k])
             np.fft.irfft(spec[:k], n=2 * n, axis=1, out=full[:k])
             yield start, j, full[:k, n:]
 

@@ -14,6 +14,7 @@ Binary layout: 64-byte little-endian header, then frames × samples float64.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 import struct
@@ -83,6 +84,14 @@ def trace_writer(path: str | Path, config: AcquisitionConfig, theta: float, fram
     header = struct.pack(_HEADER_FMT, MAGIC, VERSION, n, frames, round(interval_fs),
                          round(theta * 1e6))
     with atomic_output(path, "wb") as fh:
+        # Reserve the whole file first: ext4 then allocates its blocks as they
+        # are written, not when os.replace moves the file over an older one,
+        # and a full disk fails here, before any sample is written.
+        try:
+            os.posix_fallocate(fh.fileno(), 0, HEADER_SIZE + 8 * n * frames)
+        except OSError as err:
+            if err.errno not in (errno.EOPNOTSUPP, errno.EINVAL):
+                raise
         fh.write(header)
         written = 0
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 
 from dataclasses import replace
 from pathlib import Path
@@ -271,7 +272,7 @@ class TestSimulate:
     def test_failure_partway_leaves_no_partial_trace(self, tmp_path, config_path,
                                                      monkeypatch):
         cfg = json.loads(config_path.read_text())
-        cfg["acquisition"]["frames"] = 300      # three synthesis chunks of 512 samples
+        cfg["acquisition"]["frames"] = 300      # ten synthesis chunks of 512 samples
         config_path.write_text(json.dumps(cfg))
         kept = tmp_path / "kept"
         assert run("--config", config_path, "--out", kept, "simulate") == 0
@@ -291,6 +292,47 @@ class TestSimulate:
         assert sorted(p.name for p in kept.iterdir()) == [
             "shot.trace", "signal.trace", "summary.json"]
 
+    @pytest.mark.parametrize("code", [errno.EOPNOTSUPP, errno.EINVAL])
+    def test_no_preallocation_gives_the_same_bytes(self, tmp_path, config_path, monkeypatch,
+                                                   code):
+        """A filesystem that cannot reserve a trace file's space still gets
+        every byte of it."""
+        reserved = tmp_path / "reserved"
+        assert run("--config", config_path, "--out", reserved, "simulate") == 0
+
+        def unsupported(fd, offset, length):
+            raise OSError(code, os.strerror(code))
+
+        monkeypatch.setattr(os, "posix_fallocate", unsupported)
+        plain = tmp_path / "plain"
+        assert run("--config", config_path, "--out", plain, "simulate") == 0
+        for name in ("signal.trace", "shot.trace", "summary.json"):
+            assert (plain / name).read_bytes() == (reserved / name).read_bytes()
+
+    def test_disk_full_at_preallocation_exit_4_before_any_sample(self, tmp_path,
+                                                                config_path, monkeypatch,
+                                                                capsys):
+        """posix_fallocate reserves the whole trace file before its header is
+        written; ENOSPC there exits 4 and leaves no temporary file and no
+        output directory, and an existing directory keeps its old traces."""
+        kept = tmp_path / "kept"
+        assert run("--config", config_path, "--out", kept, "simulate") == 0
+        before = {p.name: p.read_bytes() for p in kept.iterdir()}
+        sizes = []
+
+        def disk_full(fd, offset, length):
+            sizes.append(os.fstat(fd).st_size)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "posix_fallocate", disk_full)
+        fresh = tmp_path / "fresh"
+        assert run("--config", config_path, "--out", fresh, "simulate") == 4
+        assert "I/O error: [Errno 28] No space left on device" in capsys.readouterr().err
+        assert not fresh.exists()
+        assert run("--config", config_path, "--out", kept, "simulate") == 4
+        assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
+        assert sizes and set(sizes) == {0}
+
     def test_shot_failure_on_worker_stops_signal(self, tmp_path, config_path, monkeypatch,
                                                  capsys):
         """The shot stream runs out of disk space on the worker thread. The
@@ -298,7 +340,7 @@ class TestSimulate:
         stops at its next chunk; the command exits 4 without a traceback, and
         neither a trace nor a temporary file is left."""
         cfg = json.loads(config_path.read_text())
-        cfg["acquisition"]["frames"] = 300      # five synthesis chunks of 512 samples
+        cfg["acquisition"]["frames"] = 300      # ten synthesis chunks of 512 samples
         config_path.write_text(json.dumps(cfg))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr("opahd.cli.THREADED_SYNTHESIS_MIN_SAMPLES", 512)
@@ -339,7 +381,7 @@ class TestSimulate:
 
 
 # Electrical floor on, 1000-sample frames, and frame counts (300 and 70) that
-# are not multiples of the synthesis chunk (65 rows at this width) or of the
+# are not multiples of the synthesis chunk (16 rows at this width) or of the
 # analysis chunk (256 rows).
 GOLDEN_CONFIG = {
     "seed": 2718,
@@ -514,9 +556,40 @@ class TestAnalyze:
             fh.seek(traceio.HEADER_SIZE + 8 * 1000)
             fh.write(np.array([1e200], dtype="<f8").tobytes())
         out = tmp_path / "out"
-        assert run("--config", config_path, "--out", out, "analyze",
-                   traces / "signal.trace", traces / "shot.trace") == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("--config", config_path, "--out", out, "analyze",
+                       traces / "signal.trace", traces / "shot.trace") == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "the level or the plateau statistics are not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflow_on_the_worker_thread_prints_no_warning(self, tmp_path, config_path,
+                                                            monkeypatch, capsys):
+        traces = tmp_path / "traces"
+        assert run("--config", config_path, "--out", traces, "simulate") == 0
+        with open(traces / "shot.trace", "r+b") as fh:
+            fh.seek(traceio.HEADER_SIZE + 8 * 1000)
+            fh.write(np.array([1e200], dtype="<f8").tobytes())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 2 * 8 * 512)   # 4 chunks a file
+        readers = set()
+        chunks = traceio.TraceReader.chunks
+
+        def recorded(reader):
+            readers.add((Path(reader.path).name, threading.current_thread()))
+            return chunks(reader)
+
+        monkeypatch.setattr(traceio.TraceReader, "chunks", recorded)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("--config", config_path, "--out", out, "analyze",
+                       traces / "signal.trace", traces / "shot.trace") == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        shot_threads = {thread for name, thread in readers if name == "shot.trace"}
+        assert shot_threads and threading.main_thread() not in shot_threads
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
 

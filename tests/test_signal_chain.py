@@ -191,7 +191,7 @@ class TestVectorizedSeeding:
             assert row.tobytes() == ref.samples[0].tobytes()
 
     def test_seed_blocks_across_synthesis_chunks(self, monkeypatch):
-        # 32-sample frames in 3-row synthesis chunks, with 5-frame seed blocks
+        # 32-sample frames in 3-row synthesis chunks, with 10-frame seed blocks
         # that end inside a chunk; 61 frames leave a ragged last block and chunk.
         resp, acq = FrequencyResponse(), small_acq(frames=61, n=32, clearance=20.0)
         chain = paper_default_chain()
@@ -204,8 +204,8 @@ class TestVectorizedSeeding:
             return real_frame_seed(master_seed, frame_index)
 
         monkeypatch.setattr(signal_chain, "frame_seed", recording)
-        monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 3 * 16 * 17)
-        assert signal_chain.chunk_rows(8 * 32, 61) == 3
+        monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 1700)
+        assert signal_chain.chunk_rows(16 * 32, 61) == 3
         parts = synthesize_frames(chain, resp, acq, 0.0, master_seed=8, first_frame=11)
         assert sum(blocks) == 61 and len(blocks) > 2
         assert blocks[0] % 3 != 0 and blocks[-1] != blocks[0]

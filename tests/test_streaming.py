@@ -22,7 +22,7 @@ from opahd.analysis import (FFT_CHUNK_FRAMES, WINDOWS, FrameStats, _modified_cha
                             averaged_fft, histogram, level_from_variances, loss_sweep,
                             pooled_histogram, variance_level)
 from opahd.cli import main
-from opahd.gaussian import ChainModel, loss, psa, squeeze
+from opahd.gaussian import ChainModel, loss, paper_default_chain, psa, squeeze
 from opahd.signal_chain import AcquisitionConfig, Ensemble, FrequencyResponse, synthesize_frames
 
 # A bound on each command's peak traced allocation that does not grow with the
@@ -148,18 +148,39 @@ def test_streamed_route_matches_whole_ensemble_bit_for_bit(tmp_path, monkeypatch
 
 def test_one_chunk_budget_sets_every_chunk(tmp_path, monkeypatch):
     """signal_chain.CHUNK_BYTES, read at call time, sizes the synthesis, the
-    trace read and the FFT chunks by one rule: chunk_rows(8 * samples_per_frame,
-    limit) rows, 8 bytes per sample."""
+    trace read and the FFT chunks by one rule: chunk_rows(row_bytes, limit)
+    rows, where row_bytes is the largest buffer's bytes per frame. That is 8
+    bytes per sample for the trace read and the FFT, and 16 for synthesis,
+    whose irfft output holds 2 × samples_per_frame samples."""
     acq = AcquisitionConfig(record_duration=6.25e-9, samples_per_frame=1000, frames=20)
     monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 5 * 8 * 1000 + 7999)
     ens = synthesize_frames(ChainModel(), FrequencyResponse(), acq)
     assert [len(c) for c in signal_chain.frame_chunks(ChainModel(), FrequencyResponse(),
-                                                      acq)] == [5] * 4
+                                                      acq)] == [2] * 10
     assert FrameStats(acq, 20)._rows == 5
     with traceio.trace_writer(tmp_path / "t.trace", acq, 0.0, 20) as write:
         write(ens.samples)
     with traceio.TraceReader(tmp_path / "t.trace") as reader:
         assert [len(c) for c in reader.chunks()] == [5] * 4
+
+
+def test_paper_frames_are_synthesized_one_per_chunk():
+    """At the paper's 12512 samples a synthesis chunk is one frame, so that
+    each of its buffers fits CHUNK_BYTES: the draws, the spectrum and the
+    25024-sample irfft output take 0.2 MB each. Two-frame chunks, which the
+    8-bytes-per-sample rule gave, peak above this bound at 1.44 MiB."""
+    acq = AcquisitionConfig(frames=8)
+    chain = paper_default_chain()
+    for _ in signal_chain.frame_chunks(chain, FrequencyResponse(), acq, n_frames=1):
+        pass                    # numpy.random's one-time set-up allocates ~1 MB
+    tracemalloc.start()
+    try:
+        rows = [len(c) for c in signal_chain.frame_chunks(chain, FrequencyResponse(), acq)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == [1] * 8
+    assert peak < 4 * signal_chain.CHUNK_BYTES, f"peaked at {peak} bytes"
 
 
 # 300 frames: one full FFT_CHUNK_FRAMES group and a partial one.
@@ -228,6 +249,22 @@ def test_trace_writer_rejects_frame_counts_the_header_cannot_hold(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_trace_writer_writes_strided_chunks_as_their_contiguous_copies(tmp_path):
+    # Synthesis yields the second half of each 2n-sample row; a column-major
+    # block has no contiguous row at all.
+    acq = AcquisitionConfig(record_duration=6.25e-9, samples_per_frame=1000, frames=6)
+    full = np.random.default_rng(4).standard_normal((3, 2000))
+    chunks = {"strided": [full[:, 1000:], np.asfortranarray(full[:, :1000])]}
+    chunks["contiguous"] = [np.ascontiguousarray(c) for c in chunks["strided"]]
+    assert not any(c.flags.c_contiguous for c in chunks["strided"])
+    for name, parts in chunks.items():
+        with traceio.trace_writer(tmp_path / f"{name}.trace", acq, 0.0, 6) as write:
+            for part in parts:
+                write(part)
+    assert ((tmp_path / "strided.trace").read_bytes()
+            == (tmp_path / "contiguous.trace").read_bytes())
+
+
 @pytest.mark.parametrize("duration", [1e-18, 1e10, float("inf"), float("nan")])
 def test_trace_writer_rejects_sample_intervals_the_header_cannot_hold(tmp_path, duration):
     # 4 samples in 1e-18 s are 0.25 fs apart, which rounds to 0; in 1e10 s,
@@ -275,13 +312,13 @@ def test_trace_file_round_trip(tmp_path_factory, n, frames, theta_urad, interval
 
 
 SWEEP_CHAIN = ChainModel(stages=(squeeze(1.0), psa(35.0, 0.79), loss(0.076)))
-# 512-sample frames with the electrical floor on: 64 rows per synthesis chunk
+# 512-sample frames with the electrical floor on: 32 rows per synthesis chunk
 # by default, 7 with the small budget; 300 frames is a multiple of neither.
 SWEEP_ACQ = AcquisitionConfig(record_duration=3.2e-9, samples_per_frame=512, frames=300,
                               clearance_at_43ghz_db=20.0)
 
 
-@pytest.mark.parametrize("chunk_bytes", [signal_chain.CHUNK_BYTES, 7 * 8 * 512])
+@pytest.mark.parametrize("chunk_bytes", [signal_chain.CHUNK_BYTES, 7 * 16 * 512])
 def test_monte_carlo_sweep_matches_per_point_ensembles_bit_for_bit(monkeypatch, chunk_bytes):
     monkeypatch.setattr(signal_chain, "CHUNK_BYTES", chunk_bytes)
     resp = FrequencyResponse()
