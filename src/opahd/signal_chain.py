@@ -373,7 +373,6 @@ def shared_frame_chunks(chains, resp: FrequencyResponse, acq: AcquisitionConfig,
         sigma = _synthesis_sigma(chain, resp, acq, chain.lo_phase if theta is None else theta)
         np.divide(sigma, math.sqrt(2.0), out=a)
         a[[0, -1]] = sigma[[0, -1]]
-    # The largest buffer, full, holds 2n samples of 8 bytes per frame.
     rows = chunk_rows(16 * n, count)
     noise = np.empty((rows, 2, nbins))
     spec = np.empty((rows, nbins), dtype=np.complex128)
