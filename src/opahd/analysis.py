@@ -216,6 +216,9 @@ def level_from_variances(v_sig: np.ndarray, v_shot: np.ndarray) -> tuple[float, 
     if len(v_sig) < 2 or len(v_shot) < 2:
         raise ValueError("need at least two frames per ensemble")
     m_sig, m_shot = v_sig.mean(), v_shot.mean()
+    if not (math.isfinite(m_sig) and math.isfinite(m_shot)):
+        raise ValueError("the level or the plateau statistics are not finite: "
+                         "a sample power overflows")
     if m_sig <= 0 or m_shot <= 0:
         raise FloatingPointError("degenerate (zero-variance) ensemble")
     se_sig = v_sig.std(ddof=1) / math.sqrt(len(v_sig))
@@ -381,8 +384,10 @@ def fit_pump_curve(points: list[tuple[float, float, int]]) -> SqueezeFitResult:
     best = None
     last_error: FitConvergenceError | None = None
     # A trial step that sends a far out overflows exp and ||r||²; its cost is
-    # inf and the step is rejected, so the warning would report nothing.
-    with np.errstate(over="ignore"):
+    # inf and the step is rejected, so the warning would report nothing. At
+    # an absurd pump (kilowatts) the result itself overflows, or its Jacobian
+    # holds 0 · inf; the caller reports a result that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
         for l0 in (0.05, 0.3, 0.6):
             for a0 in _initial_gain_coefficients(refs, l0):
                 try:
@@ -392,11 +397,11 @@ def fit_pump_curve(points: list[tuple[float, float, int]]) -> SqueezeFitResult:
                     continue
                 if best is None or cost < best[1]:
                     best = (p, cost, cov, n_iter)
-    if best is None:
-        assert last_error is not None
-        raise last_error
-    p, cost, cov, n_iter = best
-    model, _ = _pump_model(pump, two_sign, weights, signed_weights, *p.tolist())
+        if best is None:
+            assert last_error is not None
+            raise last_error
+        p, cost, cov, n_iter = best
+        model, _ = _pump_model(pump, two_sign, weights, signed_weights, *p.tolist())
     resid = model - level
     return SqueezeFitResult(
         big_l=float(p[0]),

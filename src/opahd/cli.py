@@ -33,11 +33,13 @@ CPUs and a stream holds more than one chunk of samples, and for simulate when
 frames have at least THREADED_SYNTHESIS_MIN_SAMPLES samples, the shot stream
 runs on a worker thread (numpy releases the interpreter lock in its RNG, FFTs
 and file I/O). Shorter frames stay on one thread: there a second stream saves
-little time and still adds about 1.5 MB of peak RSS. The outputs do not depend
+little time and still adds about 1.2 MB of peak RSS. The outputs do not depend
 on it. If either stream fails, the other stops at its next chunk and the
 command exits as it would have on one thread. main first allocates and frees
 one 2 MiB block, which stops glibc from mapping and unmapping the per-chunk
-temporaries on every call (see MMAP_BLOCK_BYTES).
+temporaries on every call (see MMAP_BLOCK_BYTES), and hides OpenSSL's
+_hashlib unless it is loaded already, so that numpy.random does not map
+libcrypto; hashlib then gives the same digests from CPython's own modules.
 
 sweep-loss --monte-carlo shares the signal and shot seeds' per-frame streams
 across all points (common random numbers): each frame's noise is drawn once
@@ -160,10 +162,10 @@ def _load_config(args) -> ExperimentConfig:
 
 
 # Shorter frames are synthesized on one thread: a second stream's buffers and
-# thread stack add about 1.5 MB of peak RSS at any frame length, and at short
-# frames two threads save little time. simulate of 2 × 2048 frames took 0.59 s
-# on one thread and 0.56 s on two at 512 samples, at 38.8 and 40.4 MB; at 1024
-# samples two threads saved 2 % for +1.6 MB, and at 2048, 27 % for +1.5 MB
+# thread stack add about 1.2 MB of peak RSS at any frame length, and at 512
+# samples two threads save no time. simulate of 2 × 2048 frames took 0.31 s on
+# either at 512 samples, at 33.5 and 34.7 MB; at 1024 samples two threads saved
+# 25 % for +1.2 MB (2 % when this gate was set), and at 2048, 28 % for +1.3 MB
 # (medians of 15 runs each, 2 CPUs).
 THREADED_SYNTHESIS_MIN_SAMPLES = 2048
 
@@ -447,6 +449,9 @@ MMAP_BLOCK_BYTES = 2 << 20
 
 def main(argv=None) -> int:
     np.empty(MMAP_BLOCK_BYTES, dtype=np.uint8)      # freed at once, never touched
+    # numpy.random imports secrets, hmac and so _hashlib, which maps OpenSSL's
+    # libcrypto (3.4 MB RSS). Hidden, hashlib uses CPython's built-in digests.
+    sys.modules.setdefault("_hashlib", None)
     parser = build_parser()
     args = parser.parse_args(argv)
     made_out = not os.path.lexists(args.out)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opahd import analysis as ana
@@ -478,6 +478,42 @@ def test_memory_error_exit_4_without_output_directory(tmp_path, monkeypatch, cap
     assert not out.exists()
 
 
+# Run in a fresh interpreter, which has not loaded _hashlib as this one has;
+# exits 77 where a bare numpy import loads it, since main then saves nothing.
+NO_LIBCRYPTO_CHILD = """
+import sys
+import numpy as np
+if "_hashlib" in sys.modules:
+    sys.exit(77)
+from opahd.cli import main
+config, out = sys.argv[1:]
+common = ["--config", config, "--out", out]
+assert main(common + ["simulate"]) == 0
+assert main(common + ["sweep-loss", "--monte-carlo", "--mc-frames", "4",
+                      "--added-loss", "0,0.5", "--gains-db", "35"]) == 0
+assert main(common + ["analyze", out + "/signal.trace", out + "/shot.trace"]) == 0
+import hashlib
+assert hashlib.sha256(b"opahd").hexdigest() == (
+    "33d70647a2a669b51325e86f8beee09134f0b6b7d275283cd278b7ab07066a90")
+np.random.default_rng().standard_normal()
+with open("/proc/self/maps") as fh:
+    assert "libcrypto" not in fh.read()
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_commands_map_no_libcrypto(tmp_path, config_path):
+    """simulate, sweep-loss --monte-carlo and analyze never map OpenSSL's
+    libcrypto; hashlib still gives its digests and numpy its OS entropy."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    child = subprocess.run([sys.executable, "-c", NO_LIBCRYPTO_CHILD, config_path,
+                            tmp_path / "out"], env=env, capture_output=True, text=True)
+    if child.returncode == 77:
+        pytest.skip("importing numpy loads _hashlib here")
+    assert child.returncode == 0, child.stderr
+    assert child.stderr == ""
+
+
 class TestAnalyze:
     def test_vacuum_self_analysis_is_zero_db(self, tmp_path, config_path, capsys):
         cfg = json.loads(config_path.read_text())
@@ -589,7 +625,8 @@ class TestAnalyze:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         shot_threads = {thread for name, thread in readers if name == "shot.trace"}
         assert shot_threads and threading.main_thread() not in shot_threads
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == ("error: the level or the plateau statistics are "
+                                           "not finite: a sample power overflows\n")
         assert not out.exists()
 
 
@@ -751,6 +788,54 @@ class TestFit:
         assert run("--out", tmp_path / "out", "fit", path) == 3
         assert "fit result covariance is not finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+_FUZZED_FIELDS = st.one_of(
+    st.sampled_from(["", "x", "nan", "-nan", "inf", "-inf", "1e308", "1e400", "-1e400",
+                     "-0", "0", "1.5", "0x10", " 2 ", "1_0"]),
+    st.floats().map(repr),
+    st.integers(-10 ** 30, 10 ** 30).map(str))
+
+
+@st.composite
+def _levels_rows(draw):
+    """Rows of a levels CSV: points on a pump curve, about one row in four
+    with fuzzed fields, and some rows short of or past three fields."""
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        pump_mw = draw(st.floats(0, 500))
+        branch = draw(st.sampled_from([-1, 1]))
+        level_db = 10 * math.log10(pump_curve(pump_mw * 1e-3, 0.29, 6.0, branch))
+        row = [repr(pump_mw), repr(level_db), str(branch)]
+        if draw(st.integers(0, 3)) == 0:
+            for i in draw(st.sets(st.integers(0, 2), min_size=1)):
+                row[i] = draw(_FUZZED_FIELDS)
+        width = draw(st.sampled_from([3] * 16 + [1, 2, 4]))
+        rows.append(",".join((row + [draw(_FUZZED_FIELDS)])[:width]))
+    return "".join(row + "\n" for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=_levels_rows())
+@example(rows="42095358.0,0.0,1\n421.0,12.39,1\n7.0,-1.18,-1\n")
+@example(rows="1e308,-0.47,-1\n0.0,0.0,-1\n0.0,0.0,-1\n")
+def test_fuzzed_levels_csv_exits_cleanly(rows):
+    """fit of a fuzzed levels CSV exits 0, 2 or 3 with no traceback, and a
+    failure leaves no fit.json and no output directory. The examples are
+    pumps of kilowatts and more, whose fit warned before its exit 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "levels.csv"
+        path.write_text("pump_mw,level_db,branch\n" + rows)
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run("--out", out, "fit", path)
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert not out.exists()
+        else:
+            assert {p.name for p in out.iterdir()} == {"fit.json"}
 
 
 class TestSweepLoss:

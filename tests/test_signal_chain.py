@@ -104,9 +104,13 @@ class TestSynthesis:
         assert np.array_equal(whole.samples, parts)
 
     @pytest.mark.parametrize("n", [512, 12512])
-    def test_rows_match_per_frame_reference(self, n):
-        # three chunks of batched synthesis, the last one ragged
-        rows = chunk_rows(8 * n, 2 ** 32)
+    def test_rows_match_per_frame_reference(self, n, monkeypatch):
+        # three chunks of batched synthesis, the last one ragged; the default
+        # budget holds one 12512-sample row, so there it is raised to three
+        if n == 12512:
+            monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 3 * 16 * n)
+        rows = chunk_rows(16 * n, 2 ** 32)
+        assert rows >= 2
         count = 2 * rows + (rows + 1) // 2
         assert count % rows != 0
         resp, acq = FrequencyResponse(), small_acq(frames=count, n=n, clearance=20.0)
