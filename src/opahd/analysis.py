@@ -13,7 +13,7 @@ from .fitting import FitConvergenceError, levenberg_marquardt
 from .gaussian import ChainModel, ChannelSpec, relative_quadrature_power
 # synthesize_frames stays importable from here beside the whole-ensemble API.
 from .signal_chain import (AcquisitionConfig, Ensemble, FrequencyResponse,  # noqa: F401
-                           chunk_rows, shared_frame_chunks, synthesize_frames)
+                           frame_rows, shared_frame_chunks, synthesize_frames)
 
 # Frames per group of the Welch power sum. Rows are added one by one into a
 # group's partial sum and each full group into the total; this order fixes
@@ -71,67 +71,67 @@ class FrameStats:
     power sum of averaged_fft, the per-frame variances (`variances`, filled
     up to `count`) and the sample range [`lo`, `hi`], NaN if any sample is.
 
-    Any chunking gives the same bytes as one pass over the whole block. Each
-    row's |X|² is added in turn to the partial sum of its FFT_CHUNK_FRAMES-row
-    group, which is the order in which numpy's sum(axis=0) adds the rows of a
-    C-contiguous group, and each full group's partial goes into the total.
-    Whatever block add is handed, it is reduced in sub-chunks of at most
-    chunk_rows(8 * samples_per_frame, FFT_CHUNK_FRAMES) rows through buffers
-    allocated here, so no call makes a temporary the size of the block.
+    Any chunking, over one add or several, gives the same bytes as one pass
+    over the whole block. Each row's |X|² is added in turn to the partial sum
+    of its FFT_CHUNK_FRAMES-row group, which is the order in which numpy's
+    sum(axis=0) adds the rows of a C-contiguous group, and each full group's
+    partial goes into the total. add reduces its chunks in sub-chunks of at
+    most frame_rows(samples_per_frame, FFT_CHUNK_FRAMES) rows, through a
+    workspace it allocates once per call and drops on return.
     """
 
     def __init__(self, config: AcquisitionConfig, frames: int,
                  window: str = AnalysisOptions.window):
         n = config.samples_per_frame
-        nbins = n // 2 + 1
-        win = WINDOWS[window](n)
         self.config = config
-        self._win = None if np.all(win == 1.0) else win   # x * 1.0 is x
-        self._scale = 1.0 / (config.sample_rate * np.sum(win ** 2))
+        self.window = window
+        self._scale = 1.0 / (config.sample_rate * np.sum(WINDOWS[window](n) ** 2))
         self.count = 0
         self.variances = np.empty(frames)
         self.lo = np.float64(np.inf)
         self.hi = np.float64(-np.inf)
-        self._power_sum = np.zeros(nbins)
-        self._rows = chunk_rows(8 * n, FFT_CHUNK_FRAMES)
-        # Per sub-chunk: the deviations from each frame's mean, then the
-        # windowed samples (_scratch), and their spectra (_spec).
-        self._scratch = np.empty((self._rows, n))
-        self._spec = np.empty((self._rows, nbins), dtype=np.complex128)
-        # Row 0 holds the current group's partial sum, rows 1.. the |X|² of
-        # the rows being added to it.
-        self._buf = np.zeros((self._rows + 1, nbins))
+        self._power_sum = np.zeros(n // 2 + 1)
+        self._partial = np.zeros(n // 2 + 1)     # the current group's partial sum
         self._in_group = 0
 
-    def add(self, chunk: np.ndarray) -> None:
-        """Add a rows × samples_per_frame chunk of the next frames."""
-        k = len(chunk)
-        if chunk.ndim != 2 or chunk.shape[1] != self.config.samples_per_frame:
-            raise ValueError("chunk must be a rows × samples_per_frame block")
-        if self.count + k > len(self.variances):
-            raise ValueError(f"more than the {len(self.variances)} frames announced")
-        buf = self._buf
-        i = 0
-        while i < k:
-            m = min(k - i, self._rows, FFT_CHUNK_FRAMES - self._in_group)
-            data = chunk[i:i + m]
-            scratch = self._scratch[:m]
-            _variances_into(data, self.variances[self.count:self.count + m], scratch)
-            self.lo = np.minimum(self.lo, data.min())     # NaN propagates
-            self.hi = np.maximum(self.hi, data.max())
-            self.count += m
-            if self._win is not None:
-                data = np.multiply(data, self._win, out=scratch)
-            power = buf[1:m + 1]
-            np.abs(np.fft.rfft(data, axis=1, out=self._spec[:m]), out=power)
-            np.square(power, out=power)
-            buf[0] = buf[:m + 1].sum(axis=0)
-            self._in_group += m
-            if self._in_group == FFT_CHUNK_FRAMES:
-                self._power_sum += buf[0]
-                buf[0] = 0.0
-                self._in_group = 0
-            i += m
+    def add(self, chunks) -> None:
+        """Add each rows × samples_per_frame chunk of chunks, the next frames."""
+        n = self.config.samples_per_frame
+        rows = frame_rows(n, FFT_CHUNK_FRAMES)
+        win = None if self.window == "rectangular" else WINDOWS[self.window](n)  # x * 1.0 is x
+        windowed = None if win is None else np.empty((rows, n))
+        spec = np.empty((rows, n // 2 + 1), dtype=np.complex128)
+        spent = spec.reshape(-1).view(np.float64)   # holds m × n once |X|² is taken
+        # Row 0 takes the group's partial sum, rows 1.. the |X|² added to it.
+        power = np.empty((rows + 1, n // 2 + 1))
+        for chunk in chunks:
+            k = len(chunk)
+            if chunk.ndim != 2 or chunk.shape[1] != n:
+                raise ValueError("chunk must be a rows × samples_per_frame block")
+            if self.count + k > len(self.variances):
+                raise ValueError(f"more than the {len(self.variances)} frames announced")
+            i = 0
+            while i < k:
+                m = min(k - i, rows, FFT_CHUNK_FRAMES - self._in_group)
+                data = chunk[i:i + m]
+                if windowed is not None:
+                    np.multiply(data, win, out=windowed[:m])
+                np.abs(np.fft.rfft(data if windowed is None else windowed[:m], axis=1,
+                                   out=spec[:m]), out=power[1:m + 1])
+                np.square(power[1:m + 1], out=power[1:m + 1])
+                power[0] = self._partial
+                np.add.reduce(power[:m + 1], axis=0, out=self._partial)
+                _variances_into(data, self.variances[self.count:self.count + m],
+                                spent[:m * n].reshape(m, n))
+                self.lo = np.minimum(self.lo, data.min())     # NaN propagates
+                self.hi = np.maximum(self.hi, data.max())
+                self.count += m
+                self._in_group += m
+                if self._in_group == FFT_CHUNK_FRAMES:
+                    self._power_sum += self._partial
+                    self._partial[:] = 0.0
+                    self._in_group = 0
+                i += m
 
     def spectrum(self) -> SpectrumEstimate:
         """Power-averaged periodogram of the frames added so far, one-sided.
@@ -145,7 +145,7 @@ class FrameStats:
         """
         if self.count == 0:
             raise ValueError("need at least one frame")
-        power = (self._power_sum + self._buf[0]) * (self._scale / self.count)
+        power = (self._power_sum + self._partial) * (self._scale / self.count)
         n = self.config.samples_per_frame
         power[1:(n + 1) // 2] *= 2.0  # fold negative frequencies
         freqs = np.fft.rfftfreq(n, 1.0 / self.config.sample_rate)
@@ -158,7 +158,7 @@ def averaged_fft(frames: Ensemble, window: str = AnalysisOptions.window) -> Spec
     if len(frames) == 0:
         raise ValueError("need at least one frame")
     stats = FrameStats(frames.config, len(frames), window)
-    stats.add(frames.samples)
+    stats.add([frames.samples])
     return stats.spectrum()
 
 
@@ -180,7 +180,7 @@ def frame_variances(block: np.ndarray) -> np.ndarray:
     """Per-frame sample variance of a frames × samples block, block.var(axis=1)
     bit for bit, taken a chunk of rows at a time through one buffer."""
     n = block.shape[1]
-    rows = chunk_rows(8 * n, len(block))
+    rows = frame_rows(n, len(block))
     out = np.empty(len(block))
     scratch = np.empty((rows, n))
     for i in range(0, len(block), rows):

@@ -8,14 +8,12 @@ An empty --added-loss or --gains-db list is a usage error (exit 2).
 
 simulate and analyze stream: simulate writes each trace file chunk by chunk
 as it synthesizes the frames, and analyze reduces each trace file chunk by
-chunk, with a second pass over the signal file for the histogram. Each
-chunked loop sizes its chunks so that every buffer it allocates, once per
-stream, holds about signal_chain.CHUNK_BYTES (256 KiB): synthesis counts its
-2 × samples_per_frame inverse-FFT output, the other loops 8 bytes per sample.
-Their memory is O(chunk) however many frames a config asks for, plus 8 bytes
-per frame per stream for the per-frame variances. Before writing a trace,
-simulate reserves the whole file (posix_fallocate), so a full disk exits 4
-before any sample is written. Every
+chunk, with a second pass over the signal file for the histogram. Every
+chunked loop takes signal_chain.frame_rows frames at a time through buffers
+allocated once per pass, so their memory is O(chunk) however many frames a
+config asks for, plus 8 bytes per frame per stream for the per-frame
+variances. Before writing a trace, simulate reserves the whole file
+(posix_fallocate), so a full disk exits 4 before any sample is written. Every
 output file is written to a temporary file beside it and moved into place
 only when complete. JSON outputs never contain NaN or infinity. Before
 writing any output, analyze rejects (exit 2) a trace file with a non-finite
@@ -28,18 +26,17 @@ header cannot hold (1 fs to 2**64 - 1 fs).
 Each of the two commands has two independent streams: simulate synthesizes,
 writes and takes the variances of the signal ensemble (seed) and of the shot
 ensemble (seed + 1); analyze makes the signal file's first pass and then its
-histogram pass, and the shot file's first pass. When the process may use two
-CPUs and a stream holds more than one chunk of samples, and for simulate when
-frames have at least THREADED_SYNTHESIS_MIN_SAMPLES samples, the shot stream
-runs on a worker thread (numpy releases the interpreter lock in its RNG, FFTs
-and file I/O). Shorter frames stay on one thread: there a second stream saves
-little time and still adds about 1.2 MB of peak RSS. The outputs do not depend
-on it. If either stream fails, the other stops at its next chunk and the
-command exits as it would have on one thread. main first allocates and frees
-one 2 MiB block, which stops glibc from mapping and unmapping the per-chunk
-temporaries on every call (see MMAP_BLOCK_BYTES), and hides OpenSSL's
-_hashlib unless it is loaded already, so that numpy.random does not map
-libcrypto; hashlib then gives the same digests from CPython's own modules.
+histogram pass, and the shot file's first pass. Both commands follow one
+rule (_two_threads): the shot stream runs on a worker thread (numpy releases
+the interpreter lock in its RNG, FFTs and file I/O) only on two CPUs, with
+frames of at least THREADED_MIN_SAMPLES samples and a stream of more than one
+chunk. The outputs do not depend on it. If either stream fails, the other
+stops at its next chunk and the command exits as it would have on one thread.
+main first allocates and frees one 2 MiB block, which stops glibc from mapping
+and unmapping the per-chunk temporaries on every call (see MMAP_BLOCK_BYTES),
+and hides OpenSSL's _hashlib unless it is loaded already, so that numpy.random
+does not map libcrypto; hashlib then gives the same digests from CPython's own
+modules.
 
 sweep-loss --monte-carlo shares the signal and shot seeds' per-frame streams
 across all points (common random numbers): each frame's noise is drawn once
@@ -161,24 +158,21 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-# Shorter frames are synthesized on one thread: a second stream's buffers and
-# thread stack add about 1.2 MB of peak RSS at any frame length, and at 512
-# samples two threads save no time. simulate of 2 × 2048 frames took 0.31 s on
-# either at 512 samples, at 33.5 and 34.7 MB; at 1024 samples two threads saved
-# 25 % for +1.2 MB (2 % when this gate was set), and at 2048, 28 % for +1.3 MB
-# (medians of 15 runs each, 2 CPUs).
-THREADED_SYNTHESIS_MIN_SAMPLES = 2048
+# A second thread adds ~1 MB of peak RSS, and below 1024 samples per frame
+# it saves neither command any time (README).
+THREADED_MIN_SAMPLES = 1024
 
 
-def _two_threads(stream_bytes: int) -> bool:
+def _two_threads(samples_per_frame: int, frames: int) -> bool:
     """Whether a command runs its two streams on two threads: only when this
-    process may use two CPUs and a stream holds more than one chunk of
-    samples. A smaller stream gains nothing and would double its buffers."""
+    process may use two CPUs, frames have at least THREADED_MIN_SAMPLES
+    samples and a stream holds more than one chunk of samples."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:          # the platform cannot say
         cpus = 1
-    return cpus >= 2 and stream_bytes > signal_chain.CHUNK_BYTES
+    return (cpus >= 2 and samples_per_frame >= THREADED_MIN_SAMPLES
+            and 8 * frames * samples_per_frame > signal_chain.CHUNK_BYTES)
 
 
 class _Stopped(Exception):
@@ -253,8 +247,7 @@ def cmd_simulate(args) -> int:
         partial(_simulate_stream, cfg, out / "signal.trace", cfg.chain, cfg.seed),
         partial(_simulate_stream, cfg, out / "shot.trace", cfg.chain.without_squeezing(),
                 cfg.seed + 1),
-        acq.samples_per_frame >= THREADED_SYNTHESIS_MIN_SAMPLES
-        and _two_threads(8 * acq.frames * acq.samples_per_frame))
+        _two_threads(acq.samples_per_frame, acq.frames))
     summary = {"schema_version": 1, "master_seed": cfg.seed,
                "config": cfg.to_dict(), "traces": {"signal": signal, "shot": shot}}
     traceio.write_json(out / "summary.json", summary)
@@ -274,8 +267,7 @@ def _first_pass(reader: traceio.TraceReader, window: str, chunks) -> ana.FrameSt
     """Reduce a trace file chunk by chunk; every sample must be finite."""
     stats = ana.FrameStats(reader.acquisition, reader.meta["frames"], window)
     with _quiet():
-        for chunk in chunks(reader.chunks()):
-            stats.add(chunk)
+        stats.add(chunks(reader.chunks()))
     if not (np.isfinite(stats.lo) and np.isfinite(stats.hi)):
         raise traceio.TraceFormatError(f"{reader.path}: non-finite sample values")
     return stats
@@ -295,8 +287,8 @@ def cmd_analyze(args) -> int:
 
         (signal, (edges, counts)), shot = _both(
             signal_passes, partial(_first_pass, shot_file, window),
-            _two_threads(max(8 * f.meta["frames"] * f.meta["samples_per_frame"]
-                             for f in (sig_file, shot_file))))
+            _two_threads(sig_file.meta["samples_per_frame"],
+                         max(f.meta["frames"] for f in (sig_file, shot_file))))
     rel = ana.relative_level(signal.spectrum(), shot.spectrum())
     level_db, err_db = ana.level_from_variances(signal.variances, shot.variances)
     center_hz = cfg.analysis.mask_center_ghz * 1e9
@@ -438,12 +430,11 @@ _COMMANDS = {
 # Allocated and freed at the start of main, a block of this size raises glibc's
 # dynamic mmap threshold (mallopt(3), M_MMAP_THRESHOLD) from 128 KiB to its own
 # size, and the heap trim threshold to twice that. Until then each per-chunk
-# temporary over 128 KiB (numpy's FFT scratch, np.histogram's blocks, the
-# variance and trace-writer copies) is mapped, page-faulted in and unmapped on
-# every call. At 512 frames × 12512 samples, one thread per command, this cuts
-# simulate's minor faults from 85 k to 1.0 k and analyze's from 79 k to 0.7 k.
-# 1 MiB still left analyze at 47 k; 2 MiB is the smallest power of two that
-# removes the churn. Repeating the allocation is harmless.
+# temporary over 128 KiB (numpy's FFT scratch, synthesis's copies) is mapped,
+# page-faulted in and unmapped on every call. At 512 frames × 12512 samples
+# this cuts simulate's minor faults from 39 k to 5.6 k; 512 KiB does as well.
+# analyze, whose FFTs take one frame, takes 5.0 k either way. Repeating the
+# allocation is harmless.
 MMAP_BLOCK_BYTES = 2 << 20
 
 

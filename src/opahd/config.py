@@ -128,7 +128,7 @@ class ExperimentConfig:
                        **sections, **_load(raw, _TOP_KEYS))
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"invalid configuration: {err}") from err
 
     def dump(self, path: str | Path) -> None:

@@ -14,21 +14,22 @@ import numpy as np
 from .gaussian import ChainModel, relative_quadrature_power
 
 REFERENCE_PHOTOCURRENT_A = 3.0e-3
-# Bytes per chunk. Every chunked loop takes chunk_rows(row_bytes, limit) rows
-# at a time, with row_bytes its largest buffer's bytes per frame, so that each
-# buffer it holds fits CHUNK_BYTES: 8 * samples_per_frame for trace reads,
-# FrameStats and frame_variances, and 16 * samples_per_frame for synthesis,
-# whose irfft output holds 2 * samples_per_frame samples. The histogram counts
-# CHUNK_BYTES // 16 samples at a time.
-# analyze of 2 × 512 frames of 12512 samples, as a fresh process on 2 CPUs,
-# medians of 10 runs: 512 KiB 37.1 MB peak RSS in 0.45 s, 256 KiB 34.7 MB in
-# 0.47 s, 128 KiB 33.1 MB in 0.52 s. The interpreter and numpy take ~30 MB.
+# Bytes per chunk: each buffer of a chunked loop holds at most about this many
+# (see frame_rows). The histogram counts CHUNK_BYTES // 16 samples at a time.
 CHUNK_BYTES = 1 << 18
 
 
 def chunk_rows(row_bytes: int, limit: int) -> int:
     """Rows of row_bytes each per CHUNK_BYTES, read at call time, in [1, limit]."""
     return max(1, min(limit, CHUNK_BYTES // max(row_bytes, 1)))
+
+
+def frame_rows(samples_per_frame: int, limit: int) -> int:
+    """Frames per chunk of synthesis, trace reads, FrameStats and frame_variances:
+    as many as synthesis's 2n-sample irfft output fits in CHUNK_BYTES. At 12512
+    samples that is one, and numpy's rfft of one frame allocates no batched-lane
+    workspace (~0.5 MB)."""
+    return chunk_rows(16 * samples_per_frame, limit)
 
 
 def _check_positive(obj, *names: str) -> None:
@@ -79,8 +80,8 @@ class AcquisitionConfig:
         _check_positive(self, "record_duration", "photocurrent")
         if not 2 <= self.samples_per_frame < 2 ** 32:     # the trace header's uint32
             raise ValueError("samples_per_frame must be >= 2 and < 2**32")
-        if self.frames < 1:
-            raise ValueError("frames must be >= 1")
+        if not 1 <= self.frames < 2 ** 32:
+            raise ValueError("frames must be >= 1 and < 2**32")
         clearance = self.clearance_at_43ghz_db
         if clearance is not None and not math.isfinite(clearance):
             raise ValueError(f"clearance_at_43ghz_db must be finite or None, got {clearance!r}")
@@ -351,7 +352,7 @@ def shared_frame_chunks(chains, resp: FrequencyResponse, acq: AcquisitionConfig,
     numbers). Yields (start, j, chunk) for each chunk and, within it, each
     chain j in order: the rows start.. of chain j, together n_frames rows per
     chain (default acq.frames). theta defaults to each chain's LO phase. A
-    chunk takes chunk_rows(16 * samples_per_frame, n_frames) rows, so that
+    chunk takes frame_rows(samples_per_frame, n_frames) rows, so that
     each of its buffers (the draws, the spectrum and the 2n-sample irfft
     output) holds at most about CHUNK_BYTES, and every row equals
     synthesize_frame's frame for that chain and seed byte for byte. first_frame
@@ -373,7 +374,7 @@ def shared_frame_chunks(chains, resp: FrequencyResponse, acq: AcquisitionConfig,
         sigma = _synthesis_sigma(chain, resp, acq, chain.lo_phase if theta is None else theta)
         np.divide(sigma, math.sqrt(2.0), out=a)
         a[[0, -1]] = sigma[[0, -1]]
-    rows = chunk_rows(16 * n, count)
+    rows = frame_rows(n, count)
     noise = np.empty((rows, 2, nbins))
     spec = np.empty((rows, nbins), dtype=np.complex128)
     full = np.empty((rows, 2 * n))

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .signal_chain import AcquisitionConfig, Ensemble, chunk_rows
+from .signal_chain import AcquisitionConfig, Ensemble, frame_rows
 
 MAGIC = b"SQZTRACE"
 VERSION = 1
@@ -120,6 +120,7 @@ class TraceReader:
 
     def __init__(self, path: str | Path):
         self.path = path
+        self._buf = None            # chunks' buffer, kept for every pass
         self._fh = open(path, "rb")
         try:
             self.meta = self._read_header()
@@ -167,15 +168,17 @@ class TraceReader:
             raise TraceFormatError(f"{self.path}: truncated while reading")
 
     def chunks(self):
-        """Yield the frames in order as rows × samples chunks of about
-        signal_chain.CHUNK_BYTES. Each chunk is a view into one buffer that the
-        next chunk overwrites. Every call starts again from the first frame."""
+        """Yield the frames in order as chunks of frame_rows(samples, frames)
+        rows. Each chunk is a view into the reader's one buffer, which the next
+        chunk, of this pass or a later one, overwrites. Every call starts again
+        from the first frame."""
         n, frames = self.meta["samples_per_frame"], self.meta["frames"]
-        rows = chunk_rows(8 * n, frames)
-        buf = np.empty((rows, n), dtype="<f8")
+        rows = frame_rows(n, frames)
+        if self._buf is None or len(self._buf) != rows:
+            self._buf = np.empty((rows, n), dtype="<f8")
         self._fh.seek(HEADER_SIZE)
         for start in range(0, frames, rows):
-            view = buf[:min(rows, frames - start)]
+            view = self._buf[:min(rows, frames - start)]
             self._fill(view)
             yield view
 

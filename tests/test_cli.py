@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from opahd import analysis as ana
 from opahd import signal_chain, traceio, wdm
 from opahd.cli import main
-from opahd.config import AnalysisOptions, ExperimentConfig
+from opahd.config import AnalysisOptions, ConfigError, ExperimentConfig
 from opahd.gaussian import ChainModel, loss, phase, psa, pump_curve, squeeze
 from opahd.signal_chain import AcquisitionConfig, FrequencyResponse, frame_chunks
 from opahd.wdm import plan_bands, write_plan_csv, write_plan_json
@@ -343,7 +343,7 @@ class TestSimulate:
         cfg["acquisition"]["frames"] = 300      # ten synthesis chunks of 512 samples
         config_path.write_text(json.dumps(cfg))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr("opahd.cli.THREADED_SYNTHESIS_MIN_SAMPLES", 512)
+        monkeypatch.setattr("opahd.cli.THREADED_MIN_SAMPLES", 512)
         shot_failed = threading.Event()
         shot_thread = []
         signal_chunks = []
@@ -423,15 +423,16 @@ def test_outputs_match_golden_sha256(tmp_path):
 @pytest.mark.parametrize("cpus, min_samples, threads", [
     ({0}, 1000, {"frame_chunks": 1, "chunks": 1}),
     ({0, 1}, 1000, {"frame_chunks": 2, "chunks": 2}),
-    ({0, 1}, 2048, {"frame_chunks": 1, "chunks": 2}),
-], ids=["one-cpu", "two-cpus", "two-cpus-short-frames"])
+    ({0, 1}, 1001, {"frame_chunks": 1, "chunks": 1}),
+    ({0}, 1001, {"frame_chunks": 1, "chunks": 1}),
+], ids=["one-cpu", "two-cpus", "two-cpus-short-frames", "one-cpu-short-frames"])
 def test_golden_sha256_serial_and_concurrent(tmp_path, monkeypatch, cpus, min_samples,
                                              threads):
     """The pinned outputs, with simulate's and analyze's two streams on one
-    thread and on two. The golden frames have 1000 samples, which simulate
-    synthesizes on one thread unless the frame-length gate is lowered."""
+    thread and on two. The golden frames have 1000 samples: at the
+    frame-length gate both commands thread on two CPUs, below it neither does."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
-    monkeypatch.setattr("opahd.cli.THREADED_SYNTHESIS_MIN_SAMPLES", min_samples)
+    monkeypatch.setattr("opahd.cli.THREADED_MIN_SAMPLES", min_samples)
     idents = {"frame_chunks": set(), "chunks": set()}
 
     def on_thread(fn):
@@ -608,7 +609,8 @@ class TestAnalyze:
             fh.seek(traceio.HEADER_SIZE + 8 * 1000)
             fh.write(np.array([1e200], dtype="<f8").tobytes())
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 2 * 8 * 512)   # 4 chunks a file
+        monkeypatch.setattr("opahd.cli.THREADED_MIN_SAMPLES", 512)
+        monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 2 * 8 * 512)   # 8 chunks a file
         readers = set()
         chunks = traceio.TraceReader.chunks
 
@@ -836,6 +838,123 @@ def test_fuzzed_levels_csv_exits_cleanly(rows):
             assert not out.exists()
         else:
             assert {p.name for p in out.iterdir()} == {"fit.json"}
+
+
+# A valid config of 4 frames of 64 samples with every key written out.
+FUZZ_CONFIG = {
+    "seed": 5,
+    "chain": {"lo_phase_rad": 0.0, "stages": [
+        {"kind": "squeeze", "r": 1.0},
+        {"kind": "psa", "gain_db": 35.0, "eta_opa": 0.79},
+        {"kind": "loss", "eta": 0.076}]},
+    "acquisition": {"record_duration_ns": 0.4, "samples_per_frame": 64, "frames": 4,
+                    "photocurrent_ma": 3.0, "clearance_at_43ghz_db": 20.0},
+    "response": {"detector_f3db_ghz": 43.0, "scope_cutoff_ghz": 63.0, "filter_order": 4},
+    "analysis": {"mask_center_ghz": 34.0, "mask_width_ghz": 1.0, "histogram_bins": 20,
+                 "window": "hann"},
+}
+_SECTIONS = ("acquisition", "response", "analysis")
+_STAGES = [("chain", "stages", i) for i in range(3)]
+_KINDS = [(*stage, "kind") for stage in _STAGES]
+_PARAMS = [(*_STAGES[0], "r"), (*_STAGES[1], "gain_db"), (*_STAGES[1], "eta_opa"),
+           (*_STAGES[2], "eta")]
+_CLEARANCE = ("acquisition", "clearance_at_43ghz_db")
+# FUZZ_CONFIG's keys by path: those that take any float; the counts that the
+# trace header bounds; the integers that take any large value, which only
+# wrong types and non-finite values make invalid; and the strings.
+_FLOAT_PATHS = [("chain", "lo_phase_rad"), *_PARAMS,
+                *[(section, key) for section in _SECTIONS
+                  for key, value in FUZZ_CONFIG[section].items()
+                  if isinstance(value, float) and (section, key) != _CLEARANCE]]
+_COUNT_PATHS = [("acquisition", "samples_per_frame"), ("acquisition", "frames")]
+_INT_PATHS = [("seed",), ("response", "filter_order"), ("analysis", "histogram_bins")]
+_STRING_PATHS = [("analysis", "window"), *_KINDS]
+_OPTIONAL_PATHS = [("seed",), ("chain", "lo_phase_rad"),
+                   *[(section, key) for section in _SECTIONS for key in FUZZ_CONFIG[section]]]
+_WRONG_TYPES = st.sampled_from(["abc", [], [1.0], {}, {"x": 1}])
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_EXTRA = st.tuples(st.sampled_from(["extra", "note", "Frames", "seed_"]),
+                   st.one_of(st.none(), st.integers(-9, 9), st.text(max_size=3)))
+# Each change makes any config invalid: a path and the value it gets.
+_INVALID_CHANGES = st.one_of(
+    st.tuples(st.sampled_from(_FLOAT_PATHS + _COUNT_PATHS + _INT_PATHS + _STRING_PATHS),
+              _WRONG_TYPES | st.none()),
+    st.tuples(st.just(_CLEARANCE), _WRONG_TYPES),
+    st.tuples(st.sampled_from(_FLOAT_PATHS + _COUNT_PATHS + _INT_PATHS + [_CLEARANCE]),
+              _NON_FINITE),
+    st.tuples(st.sampled_from(_COUNT_PATHS),
+              st.integers(2 ** 32, 2 ** 256) | st.integers(-2 ** 64, 0)),
+    st.tuples(st.sampled_from(_FLOAT_PATHS),
+              st.integers(10 ** 309, 10 ** 400).map(lambda x: x * (-1) ** x)),
+    st.tuples(st.sampled_from(_KINDS), st.sampled_from(["gain", "", "PSA", "squeezer"])),
+    st.tuples(st.sampled_from(_STAGES), st.sampled_from(["loss", 1, ["loss", 0.5], None])),
+    st.sampled_from([(path, value) for path, values in zip(
+        _PARAMS, [(-1e6, 1e6), (-1.0, 1e6), (-0.5, 1.5), (-0.5, 1.5)]) for value in values]),
+    st.tuples(st.sampled_from(_KINDS + _PARAMS), st.just("drop")),
+    st.tuples(st.sampled_from([("chain",), *[(section,) for section in _SECTIONS],
+                               ("chain", "stages")]), st.sampled_from(["abc", 1, None])),
+    st.tuples(st.sampled_from([("analysis", "bins"), ("analysis", "frames")]),
+              st.integers(2, 9)))
+
+
+def _at(cfg, path):
+    """The container of path's last key, or None where the fuzz has already
+    put something else on the way, or the list is too short."""
+    parent = None
+    for key in path:
+        if not (isinstance(cfg, dict) and isinstance(key, str)
+                or isinstance(cfg, list) and isinstance(key, int) and key < len(cfg)):
+            return None
+        parent, cfg = cfg, cfg.get(key) if isinstance(cfg, dict) else cfg[key]
+    return parent
+
+
+@st.composite
+def _invalid_configs(draw):
+    """FUZZ_CONFIG with optional keys dropped and unknown keys added, which
+    leave it valid, then one to three changes each of which makes it invalid:
+    a wrong type, a non-finite number, a huge integer, a bad stage, a section
+    that is not an object, or an unknown analysis key."""
+    cfg = json.loads(json.dumps(FUZZ_CONFIG))
+    for path in draw(st.lists(st.sampled_from(_OPTIONAL_PATHS), max_size=4)):
+        _at(cfg, path).pop(path[-1], None)
+    for where in draw(st.lists(st.sampled_from(
+            [(), ("chain",), ("acquisition",), ("response",), _STAGES[1]]), max_size=3)):
+        name, value = draw(_EXTRA)
+        _at(cfg, (*where, name))[name] = value
+    for path, value in draw(st.lists(_INVALID_CHANGES, min_size=1, max_size=3)):
+        parent = _at(cfg, path)
+        if parent is not None and value == "drop":
+            parent.pop(path[-1], None)
+        elif parent is not None:
+            parent[path[-1]] = value
+    if draw(st.sampled_from([False] * 19 + [True])):
+        cfg = draw(st.sampled_from([[], "abc", 1, None]))      # not an object at all
+    return cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=_invalid_configs(),
+       command=st.sampled_from([["simulate"], ["sweep-loss", "--monte-carlo"],
+                                ["analyze", "signal.trace", "shot.trace"]]))
+def test_fuzzed_config_exits_2_before_any_output(raw, command):
+    """A config with a wrong type, a non-finite number, a huge integer, a bad
+    stage or a section that is not an object fails at load, with a one-line
+    error, exit 2 and no output directory, however its valid keys are
+    dropped or unknown ones added."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw))
+        # So that no command below gets past its config, whatever sizes it names.
+        with pytest.raises(ConfigError):
+            ExperimentConfig.load(path)
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run("--config", path, "--out", out, *command)
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert not out.exists()
 
 
 class TestSweepLoss:

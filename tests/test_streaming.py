@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opahd import signal_chain, traceio
+from opahd import analysis, signal_chain, traceio
 from opahd.analysis import (FFT_CHUNK_FRAMES, WINDOWS, FrameStats, _modified_chain,
                             averaged_fft, histogram, level_from_variances, loss_sweep,
                             pooled_histogram, variance_level)
@@ -96,15 +96,14 @@ def reference_power_sum(block, win):
 def streamed(path, window):
     with traceio.TraceReader(path) as reader:
         stats = FrameStats(reader.acquisition, reader.meta["frames"], window)
-        for chunk in reader.chunks():
-            stats.add(chunk)
+        stats.add(reader.chunks())
         edges, counts = pooled_histogram(reader.chunks(), 200, stats.lo, stats.hi)
     return stats, edges, counts
 
 
-# 300 frames are a multiple neither of the read and FFT chunk (32 rows of 1000
+# 300 frames are a multiple neither of the read and FFT chunk (16 rows of 1000
 # samples by default, 7 with the small budget) nor of FFT_CHUNK_FRAMES.
-@pytest.mark.parametrize("chunk_bytes", [signal_chain.CHUNK_BYTES, 7 * 8000])
+@pytest.mark.parametrize("chunk_bytes", [signal_chain.CHUNK_BYTES, 7 * 16000])
 @pytest.mark.parametrize("window", ["rectangular", "hann"])
 def test_streamed_route_matches_whole_ensemble_bit_for_bit(tmp_path, monkeypatch,
                                                           chunk_bytes, window):
@@ -148,20 +147,36 @@ def test_streamed_route_matches_whole_ensemble_bit_for_bit(tmp_path, monkeypatch
 
 def test_one_chunk_budget_sets_every_chunk(tmp_path, monkeypatch):
     """signal_chain.CHUNK_BYTES, read at call time, sizes the synthesis, the
-    trace read and the FFT chunks by one rule: chunk_rows(row_bytes, limit)
-    rows, where row_bytes is the largest buffer's bytes per frame. That is 8
-    bytes per sample for the trace read and the FFT, and 16 for synthesis,
-    whose irfft output holds 2 × samples_per_frame samples."""
+    trace read, the FFT and the variance chunks by one rule, frame_rows: as
+    many frames as synthesis's irfft output, 2 × samples_per_frame samples a
+    row, fits in the budget."""
     acq = AcquisitionConfig(record_duration=6.25e-9, samples_per_frame=1000, frames=20)
-    monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 5 * 8 * 1000 + 7999)
+    monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 2 * 16 * 1000 + 15999)
     ens = synthesize_frames(ChainModel(), FrequencyResponse(), acq)
     assert [len(c) for c in signal_chain.frame_chunks(ChainModel(), FrequencyResponse(),
                                                       acq)] == [2] * 10
-    assert FrameStats(acq, 20)._rows == 5
     with traceio.trace_writer(tmp_path / "t.trace", acq, 0.0, 20) as write:
         write(ens.samples)
     with traceio.TraceReader(tmp_path / "t.trace") as reader:
-        assert [len(c) for c in reader.chunks()] == [5] * 4
+        assert [len(c) for c in reader.chunks()] == [2] * 10
+        # A second pass, such as analyze's histogram, reads into the same buffer.
+        assert np.shares_memory(next(reader.chunks()), next(reader.chunks()))
+    rows = {"rfft": [], "variances": []}
+    rfft, variances_into = np.fft.rfft, analysis._variances_into
+
+    def recorded(name, fn):
+        def call(block, *args, **kwargs):
+            rows[name].append(len(block))
+            return fn(block, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.fft, "rfft", recorded("rfft", rfft))
+    monkeypatch.setattr(analysis, "_variances_into", recorded("variances", variances_into))
+    FrameStats(acq, 20).add([ens.samples])
+    assert rows == {"rfft": [2] * 10, "variances": [2] * 10}
+    rows["variances"].clear()
+    analysis.frame_variances(ens.samples)
+    assert rows["variances"] == [2] * 10
 
 
 def test_paper_frames_are_synthesized_one_per_chunk():
@@ -187,17 +202,24 @@ def test_paper_frames_are_synthesized_one_per_chunk():
 CHUNKINGS = {"one row": [1] * 300, "ragged": [1, 7, 33, 64, 100, 95], "whole block": [300]}
 
 
+@pytest.mark.parametrize("calls", ["one add", "an add per chunk"])
 @pytest.mark.parametrize("chunking", CHUNKINGS)
 @pytest.mark.parametrize("n", [1000, 1001])
 @pytest.mark.parametrize("window", ["rectangular", "hann"])
-def test_frame_stats_matches_the_per_group_reference_for_any_chunking(chunking, n, window):
+def test_frame_stats_matches_the_per_group_reference_for_any_chunking(calls, chunking, n,
+                                                                       window):
+    """The group partial carries over from one add to the next, so several
+    calls give the same bytes as one."""
     block = np.random.default_rng(n).standard_normal((300, n)) * 2.0 + 0.3
     acq = AcquisitionConfig(record_duration=n * 6.25e-12, samples_per_frame=n, frames=300)
     stats = FrameStats(acq, 300, window)
-    start = 0
-    for rows in CHUNKINGS[chunking]:
-        stats.add(block[start:start + rows])
-        start += rows
+    cuts = np.cumsum([0, *CHUNKINGS[chunking]])
+    chunks = [block[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+    if calls == "one add":
+        stats.add(iter(chunks))
+    else:
+        for chunk in chunks:
+            stats.add([chunk])
     win = WINDOWS[window](n)
     expected = reference_power_sum(block, win) * (
         1.0 / (acq.sample_rate * np.sum(win ** 2)) / 300)
@@ -223,12 +245,31 @@ def test_averaged_fft_of_a_whole_block_allocates_a_few_chunks(window):
     assert peak < 4 * signal_chain.CHUNK_BYTES, f"peaked at {peak} bytes"
 
 
+def test_frame_stats_keeps_only_its_results_between_adds():
+    """Once add returns, a FrameStats holds its variances and two rows of
+    n // 2 + 1 bins, the power sum and the current group's partial: add's
+    workspace, about 0.2 MB at 12512 samples, is dropped."""
+    acq = AcquisitionConfig(frames=40)
+    block = np.random.default_rng(3).standard_normal((40, 12512))
+    nbins = 12512 // 2 + 1
+    tracemalloc.start()
+    try:
+        stats = FrameStats(acq, 40)
+        stats.add([block[:30]])
+        stats.add([block[30:]])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert stats.count == 40
+    assert held < stats.variances.nbytes + 2 * 8 * nbins + 4096, f"{held} bytes held"
+
+
 def test_frame_stats_rejects_more_frames_than_announced():
     acq = AcquisitionConfig(record_duration=6.25e-9, samples_per_frame=1000, frames=2)
     stats = FrameStats(acq, 2)
-    stats.add(np.zeros((2, 1000)))
+    stats.add([np.zeros((2, 1000))])
     with pytest.raises(ValueError):
-        stats.add(np.zeros((1, 1000)))
+        stats.add([np.zeros((1, 1000))])
 
 
 def test_trace_writer_rejects_a_short_file(tmp_path):
@@ -302,10 +343,10 @@ def test_trace_file_round_trip(tmp_path_factory, n, frames, theta_urad, interval
     assert whole.tobytes() == samples.tobytes()
     assert meta == {"version": traceio.VERSION, "samples_per_frame": n, "frames": frames,
                     "sample_interval_s": interval_fs * 1e-15, "theta_rad": theta}
-    chunk_bytes = data.draw(st.integers(1, 3 * 8 * n))
+    chunk_bytes = data.draw(st.integers(1, 3 * 16 * n))
     with mock.patch.object(signal_chain, "CHUNK_BYTES", chunk_bytes), \
             traceio.TraceReader(path) as reader:
-        rows = signal_chain.chunk_rows(8 * n, frames)
+        rows = signal_chain.frame_rows(n, frames)
         chunks = [chunk.copy() for chunk in reader.chunks()]
     assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
     assert np.concatenate(chunks).tobytes() == samples.tobytes()
