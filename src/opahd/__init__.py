@@ -6,8 +6,8 @@ from .gaussian import (ChainModel, ChannelSpec, GaussianState,
                        paper_default_chain, phase, post_amplifier_loss, psa,
                        pump_curve, relative_quadrature_power, squeeze)
 from .signal_chain import (AcquisitionConfig, Ensemble, FrequencyResponse,
-                           extract_wavepacket, frame_chunks, model_variance,
-                           psd_model, synthesize_frame, synthesize_frames)
+                           extract_wavepacket, model_variance, psd_model,
+                           synthesize_frame, synthesize_frames)
 from .analysis import (FrameStats, SpectrumEstimate, SqueezeFitResult,
                        averaged_fft, fit_pump_curve, frame_variances, histogram,
                        level_from_variances, loss_sweep, pooled_histogram,

@@ -38,7 +38,8 @@ class AnalysisOptions:
             raise ValueError(f"histogram_bins must be an integer >= 2, "
                              f"got {self.histogram_bins!r}")
         mask = (self.mask_center_ghz, self.mask_width_ghz)
-        if not (all(isinstance(v, numbers.Real) and math.isfinite(v) for v in mask)
+        if not (all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                    and math.isfinite(v) for v in mask)
                 and self.mask_width_ghz >= 0):
             raise ValueError(f"mask_center_ghz and mask_width_ghz must be finite and "
                              f"mask_width_ghz >= 0, got {mask!r}")
@@ -221,8 +222,11 @@ def level_from_variances(v_sig: np.ndarray, v_shot: np.ndarray) -> tuple[float, 
                          "a sample power overflows")
     if m_sig <= 0 or m_shot <= 0:
         raise FloatingPointError("degenerate (zero-variance) ensemble")
-    se_sig = v_sig.std(ddof=1) / math.sqrt(len(v_sig))
-    se_shot = v_shot.std(ddof=1) / math.sqrt(len(v_shot))
+    # A deviation whose square overflows makes an infinite error; analyze
+    # rejects it, and the sweep uses only the level.
+    with np.errstate(over="ignore"):
+        se_sig = v_sig.std(ddof=1) / math.sqrt(len(v_sig))
+        se_shot = v_shot.std(ddof=1) / math.sqrt(len(v_shot))
     level_db = 10.0 * math.log10(m_sig / m_shot)
     err_db = (10.0 / math.log(10.0)) * math.hypot(se_sig / m_sig, se_shot / m_shot)
     return level_db, err_db

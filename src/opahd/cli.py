@@ -71,7 +71,7 @@ from . import analysis as ana
 from . import signal_chain, traceio, wdm
 from .config import ConfigError, ExperimentConfig
 from .fitting import FitConvergenceError
-from .signal_chain import frame_chunks, model_variance
+from .signal_chain import model_variance, shared_frame_chunks
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -223,11 +223,10 @@ def _simulate_stream(cfg: ExperimentConfig, path: Path, chain, seed: int, chunks
     acq = cfg.acquisition
     variances = np.empty(acq.frames)
     with traceio.trace_writer(path, acq, chain.lo_phase, acq.frames) as write:
-        done = 0
-        for chunk in chunks(frame_chunks(chain, cfg.response, acq, master_seed=seed)):
+        for start, _, chunk in chunks(shared_frame_chunks((chain,), cfg.response, acq,
+                                                          master_seed=seed)):
             write(chunk)
-            variances[done:done + len(chunk)] = ana.frame_variances(chunk)
-            done += len(chunk)
+            variances[start:start + len(chunk)] = ana.frame_variances(chunk)
     return {
         "file": path.name,
         "frames": acq.frames,
@@ -408,8 +407,10 @@ def cmd_plan_wdm(args) -> int:
     given = vars(args)
     plan = wdm.plan_bands(grid_aligned=args.grid_aligned, **{
         name: given[name] * unit for _, name, unit in PLAN_FLAGS if name in given})
-    wdm.write_plan_json(out / "plan.json", plan)
-    wdm.write_plan_csv(out / "plan.csv", plan)
+    traceio.write_json(out / "plan.json", {"schema_version": 1, **plan.to_dict()})
+    traceio.write_csv(out / "plan.csv", ["pair_index", "lower_hz", "upper_hz", "width_hz"],
+                      ([i, f"{lo:.6f}", f"{hi:.6f}", f"{plan.channel_width:.6f}"]
+                       for i, (lo, hi) in enumerate(plan.pairs)))
     if plan.pairs:
         print(f"{len(plan.pairs)} channel pairs, usable clock "
               f"{plan.usable_clock_hz / 1e9:.0f} GHz per pair")

@@ -13,7 +13,6 @@ from pathlib import Path
 from .analysis import AnalysisOptions
 from .gaussian import ChainModel, ChannelSpec
 from .signal_chain import AcquisitionConfig, FrequencyResponse
-from .traceio import write_json
 
 SCHEMA_VERSION = 1
 
@@ -51,28 +50,43 @@ def _integer(key: str, value) -> int:
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
+def _number(key: str, value) -> float:
+    """value as a float, refusing what JSON does not hold as a number ("0.4", true)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{key} must be a number, got {value!r}")
+
+
 # Each section's keys as (JSON key, field, unit or converter), in file order.
-# A unit, the key's unit in SI, loads as float(v) * unit and dumps as
-# _in_unit(value, unit); a converter applies at load only, and int stands for
-# _integer. An omitted key takes the field's default. The analysis keys are
+# A unit, the key's unit in SI, loads as _number(key, v) * unit and dumps as
+# _in_unit(value, unit); a converter, converter(key, v), applies at load only.
+# An omitted key takes the field's default. The analysis keys are
 # AnalysisOptions' fields as they are.
-_TOP_KEYS = (("seed", "seed", int),)
-_CHAIN_KEYS = (("lo_phase_rad", "lo_phase", float),)
+_TOP_KEYS = (("seed", "seed", _integer),)
+_CHAIN_KEYS = (("lo_phase_rad", "lo_phase", _number),)
 _SECTIONS = {
     "acquisition": (AcquisitionConfig, (
         ("record_duration_ns", "record_duration", 1e-9),
-        ("samples_per_frame", "samples_per_frame", int),
-        ("frames", "frames", int),
+        ("samples_per_frame", "samples_per_frame", _integer),
+        ("frames", "frames", _integer),
         ("photocurrent_ma", "photocurrent", 1e-3),
         ("clearance_at_43ghz_db", "clearance_at_43ghz_db",
-         lambda v: None if v is None else float(v)),
+         lambda key, v: None if v is None else _number(key, v)),
     )),
     "response": (FrequencyResponse, (
         ("detector_f3db_ghz", "detector_f3db", 1e9),
         ("scope_cutoff_ghz", "scope_cutoff", 1e9),
-        ("filter_order", "filter_order", int),
+        ("filter_order", "filter_order", _integer),
     )),
 }
+
+
+def _stage(raw: dict) -> ChannelSpec:
+    """A chain stage; unlike ChannelSpec, a config takes no "0.5" or true parameter."""
+    spec = ChannelSpec(raw["kind"], {k: v for k, v in raw.items() if k != "kind"})
+    for k in spec.param_names:
+        _number(f"{spec.kind} channel parameter {k}", raw[k])
+    return spec
 
 
 def _dump(obj, keys) -> dict:
@@ -81,9 +95,8 @@ def _dump(obj, keys) -> dict:
 
 
 def _load(raw: dict, keys) -> dict:
-    return {name: float(raw[key]) * unit if isinstance(unit, float)
-            else _integer(key, raw[key]) if unit is int else unit(raw[key])
-            for key, name, unit in keys if key in raw}
+    return {name: _number(key, raw[key]) * unit if isinstance(unit, float)
+            else unit(key, raw[key]) for key, name, unit in keys if key in raw}
 
 
 @dataclass(frozen=True)
@@ -119,8 +132,7 @@ class ExperimentConfig:
             if not (isinstance(stages_raw, list)
                     and all(isinstance(st, dict) for st in stages_raw)):
                 raise ConfigError("chain.stages must be a list of objects")
-            stages = tuple(ChannelSpec(st["kind"], {k: v for k, v in st.items() if k != "kind"})
-                           for st in stages_raw)
+            stages = tuple(_stage(st) for st in stages_raw)
             chain = ChainModel(stages=stages, **_load(chain_raw, _CHAIN_KEYS))
             sections = {key: section_cls(**_load(_section(raw, key), keys))
                         for key, (section_cls, keys) in _SECTIONS.items()}
@@ -130,9 +142,6 @@ class ExperimentConfig:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"invalid configuration: {err}") from err
-
-    def dump(self, path: str | Path) -> None:
-        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":

@@ -147,6 +147,11 @@ class ChannelSpec:
         maps = build(*(p[k] for k, _, _ in ranges))
         object.__setattr__(self, "maps", tuple(m for m in maps if m != _IDENTITY))
 
+    @property
+    def param_names(self) -> tuple:
+        """The names of this kind's parameters."""
+        return tuple(k for k, _, _ in self._KINDS[self.kind][0])
+
 
 def squeeze(r: float) -> ChannelSpec:
     return ChannelSpec("squeeze", {"r": float(r)})

@@ -62,7 +62,10 @@ class FrequencyResponse:
     def magnitude_squared(self, freqs: np.ndarray) -> np.ndarray:
         """|H(f)|² on the given frequency grid (Hz)."""
         f = np.asarray(freqs, dtype=float)
-        h2 = 1.0 / (1.0 + (np.abs(f) / self.detector_f3db) ** (2 * self.filter_order))
+        # A high order overflows the power above f3db; 1/(1 + inf) = 0 there
+        # is the brick-wall limit that such an order stands for.
+        with np.errstate(over="ignore"):
+            h2 = 1.0 / (1.0 + (np.abs(f) / self.detector_f3db) ** (2 * self.filter_order))
         return np.where(np.abs(f) > self.scope_cutoff, 0.0, h2)
 
 
@@ -395,27 +398,17 @@ def shared_frame_chunks(chains, resp: FrequencyResponse, acq: AcquisitionConfig,
             yield start, j, full[:k, n:]
 
 
-def frame_chunks(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,
-                 theta: float | None = None, master_seed: int = 0,
-                 n_frames: int | None = None, first_frame: int = 0):
-    """The chunks of one chain's frames: shared_frame_chunks for that chain
-    alone (same arguments), yielding each rows × samples_per_frame chunk."""
-    for _, _, chunk in shared_frame_chunks((chain,), resp, acq, theta, master_seed,
-                                           n_frames, first_frame):
-        yield chunk
-
-
 def synthesize_frames(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,
                       theta: float | None = None, master_seed: int = 0,
                       n_frames: int | None = None, first_frame: int = 0) -> Ensemble:
-    """The frames of frame_chunks (same arguments) as one Ensemble block."""
+    """The frames of shared_frame_chunks for this chain alone (same arguments)
+    as one Ensemble block."""
     th = chain.lo_phase if theta is None else theta
     count = acq.frames if n_frames is None else n_frames
     block = np.empty((count, acq.samples_per_frame))
-    start = 0
-    for chunk in frame_chunks(chain, resp, acq, th, master_seed, count, first_frame):
+    for start, _, chunk in shared_frame_chunks((chain,), resp, acq, th, master_seed,
+                                               count, first_frame):
         block[start:start + len(chunk)] = chunk
-        start += len(chunk)
     return Ensemble(samples=block, config=acq, theta=th)
 
 

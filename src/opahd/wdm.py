@@ -6,12 +6,8 @@ measurement chain.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
-
-from .traceio import atomic_output, write_csv
 
 MEASUREMENT_BANDWIDTH_HZ = 43e9  # detection chain 3-dB bandwidth
 MAX_PAIRS = 1 << 20
@@ -107,14 +103,3 @@ def plan_bands(carrier_f: float = 194.0e12, channel_spacing: float = 100e9,
         pairs=tuple(pairs),
         diagnostic=diagnostic,
     )
-
-
-def write_plan_json(path: str | Path, plan: BandPlan) -> None:
-    with atomic_output(path) as fh:
-        fh.write(json.dumps({"schema_version": 1, **plan.to_dict()}, indent=2, allow_nan=False))
-
-
-def write_plan_csv(path: str | Path, plan: BandPlan) -> None:
-    write_csv(path, ["pair_index", "lower_hz", "upper_hz", "width_hz"],
-              ([i, f"{lo:.6f}", f"{hi:.6f}", f"{plan.channel_width:.6f}"]
-               for i, (lo, hi) in enumerate(plan.pairs)))

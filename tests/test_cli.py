@@ -27,8 +27,9 @@ from opahd import signal_chain, traceio, wdm
 from opahd.cli import main
 from opahd.config import AnalysisOptions, ConfigError, ExperimentConfig
 from opahd.gaussian import ChainModel, loss, phase, psa, pump_curve, squeeze
-from opahd.signal_chain import AcquisitionConfig, FrequencyResponse, frame_chunks
-from opahd.wdm import plan_bands, write_plan_csv, write_plan_json
+from opahd.signal_chain import AcquisitionConfig, FrequencyResponse, shared_frame_chunks
+from opahd.traceio import write_json
+from opahd.wdm import plan_bands
 
 SMALL_CONFIG = {
     "seed": 77,
@@ -187,11 +188,27 @@ class TestSimulate:
         ({"response": {"filter_order": 4.5}}, "filter_order must be an integer, got 4.5"),
         ({"seed": 77.5}, "seed must be an integer, got 77.5"),
         ({"seed": math.inf}, "seed must be an integer, got inf"),
+        ({"acquisition": dict(SMALL_CONFIG["acquisition"], photocurrent_ma=True)},
+         "photocurrent_ma must be a number, got True"),
+        ({"acquisition": dict(SMALL_CONFIG["acquisition"], record_duration_ns="0.4")},
+         "record_duration_ns must be a number, got '0.4'"),
+        ({"chain": dict(SMALL_CONFIG["chain"], lo_phase_rad="0.1")},
+         "lo_phase_rad must be a number, got '0.1'"),
+        ({"acquisition": dict(SMALL_CONFIG["acquisition"], clearance_at_43ghz_db=False)},
+         "clearance_at_43ghz_db must be a number, got False"),
+        ({"chain": {"stages": [{"kind": "loss", "eta": "0.5"}]}},
+         "loss channel parameter eta must be a number, got '0.5'"),
+        ({"chain": {"stages": [{"kind": "loss", "eta": True}]}},
+         "loss channel parameter eta must be a number, got True"),
+        ({"analysis": {"mask_center_ghz": True}},
+         "mask_center_ghz and mask_width_ghz must be finite and mask_width_ghz >= 0, "
+         "got (True, 1.0)"),
     ], ids=["stages-string", "stages-object", "stage-list", "chain-string",
             "acquisition-string", "window", "bins-fraction", "bins-string", "mask-nan",
             "mask-inf", "samples-2**32", "samples-fraction", "frames-fraction",
             "frames-string", "frames-bool", "filter-order-fraction", "seed-fraction",
-            "seed-inf"])
+            "seed-inf", "photocurrent-bool", "duration-string", "lo-phase-string",
+            "clearance-bool", "eta-string", "eta-bool", "mask-bool"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, section, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**SMALL_CONFIG, **section}))
@@ -269,6 +286,21 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_brick_wall_filter_order_runs_without_warning(self, tmp_path, capsys):
+        """An order whose power overflows above detector_f3db makes the
+        response a brick wall there, and simulate and the Monte Carlo sweep
+        run without numpy's overflow warning."""
+        order = 10 ** 30
+        assert FrequencyResponse(filter_order=order).magnitude_squared(
+            np.array([0.0, 43e9, 44e9])).tolist() == [1.0, 0.5, 0.0]
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, response={"filter_order": order})))
+        out = tmp_path / "out"
+        assert run("--config", path, "--out", out, "simulate") == 0
+        assert run("--config", path, "--out", out, "sweep-loss", "--monte-carlo",
+                   "--mc-frames", "4") == 0
+        assert capsys.readouterr().err == ""
+
     def test_failure_partway_leaves_no_partial_trace(self, tmp_path, config_path,
                                                      monkeypatch):
         cfg = json.loads(config_path.read_text())
@@ -279,11 +311,11 @@ class TestSimulate:
         before = (kept / "signal.trace").read_bytes()
 
         def disk_full_after_one_chunk(*args, **kwargs):
-            chunks = frame_chunks(*args, **kwargs)
+            chunks = shared_frame_chunks(*args, **kwargs)
             yield next(chunks)
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr("opahd.cli.frame_chunks", disk_full_after_one_chunk)
+        monkeypatch.setattr("opahd.cli.shared_frame_chunks", disk_full_after_one_chunk)
         fresh = tmp_path / "fresh"
         assert run("--config", config_path, "--out", fresh, "simulate") == 4
         assert not fresh.exists()
@@ -349,11 +381,11 @@ class TestSimulate:
         signal_chunks = []
 
         def failing_shot(*args, master_seed, **kwargs):
-            chunks = frame_chunks(*args, master_seed=master_seed, **kwargs)
+            chunks = shared_frame_chunks(*args, master_seed=master_seed, **kwargs)
             if master_seed == cfg["seed"]:
-                for chunk in chunks:
+                for start, j, chunk in chunks:
                     signal_chunks.append(len(chunk))
-                    yield chunk
+                    yield start, j, chunk
                     assert shot_failed.wait(timeout=10)
                     shot_thread[0].join(timeout=10)
             else:
@@ -362,7 +394,7 @@ class TestSimulate:
                 shot_failed.set()
                 raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr("opahd.cli.frame_chunks", failing_shot)
+        monkeypatch.setattr("opahd.cli.shared_frame_chunks", failing_shot)
         out = tmp_path / "out"
         assert run("--config", config_path, "--out", out, "simulate") == 4
         err = capsys.readouterr().err
@@ -421,10 +453,10 @@ def test_outputs_match_golden_sha256(tmp_path):
 
 
 @pytest.mark.parametrize("cpus, min_samples, threads", [
-    ({0}, 1000, {"frame_chunks": 1, "chunks": 1}),
-    ({0, 1}, 1000, {"frame_chunks": 2, "chunks": 2}),
-    ({0, 1}, 1001, {"frame_chunks": 1, "chunks": 1}),
-    ({0}, 1001, {"frame_chunks": 1, "chunks": 1}),
+    ({0}, 1000, {"shared_frame_chunks": 1, "chunks": 1}),
+    ({0, 1}, 1000, {"shared_frame_chunks": 2, "chunks": 2}),
+    ({0, 1}, 1001, {"shared_frame_chunks": 1, "chunks": 1}),
+    ({0}, 1001, {"shared_frame_chunks": 1, "chunks": 1}),
 ], ids=["one-cpu", "two-cpus", "two-cpus-short-frames", "one-cpu-short-frames"])
 def test_golden_sha256_serial_and_concurrent(tmp_path, monkeypatch, cpus, min_samples,
                                              threads):
@@ -433,7 +465,7 @@ def test_golden_sha256_serial_and_concurrent(tmp_path, monkeypatch, cpus, min_sa
     frame-length gate both commands thread on two CPUs, below it neither does."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     monkeypatch.setattr("opahd.cli.THREADED_MIN_SAMPLES", min_samples)
-    idents = {"frame_chunks": set(), "chunks": set()}
+    idents = {"shared_frame_chunks": set(), "chunks": set()}
 
     def on_thread(fn):
         def recorded(*args, **kwargs):
@@ -441,7 +473,7 @@ def test_golden_sha256_serial_and_concurrent(tmp_path, monkeypatch, cpus, min_sa
             return fn(*args, **kwargs)
         return recorded
 
-    monkeypatch.setattr("opahd.cli.frame_chunks", on_thread(frame_chunks))
+    monkeypatch.setattr("opahd.cli.shared_frame_chunks", on_thread(shared_frame_chunks))
     monkeypatch.setattr(traceio.TraceReader, "chunks", on_thread(traceio.TraceReader.chunks))
     test_outputs_match_golden_sha256(tmp_path)
     assert {name: len(ids) for name, ids in idents.items()} == threads
@@ -871,7 +903,7 @@ _INT_PATHS = [("seed",), ("response", "filter_order"), ("analysis", "histogram_b
 _STRING_PATHS = [("analysis", "window"), *_KINDS]
 _OPTIONAL_PATHS = [("seed",), ("chain", "lo_phase_rad"),
                    *[(section, key) for section in _SECTIONS for key in FUZZ_CONFIG[section]]]
-_WRONG_TYPES = st.sampled_from(["abc", [], [1.0], {}, {"x": 1}])
+_WRONG_TYPES = st.sampled_from(["abc", "0.4", True, False, [], [1.0], {}, {"x": 1}])
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 _EXTRA = st.tuples(st.sampled_from(["extra", "note", "Frames", "seed_"]),
                    st.one_of(st.none(), st.integers(-9, 9), st.text(max_size=3)))
@@ -1021,6 +1053,22 @@ class TestSweepLoss:
         assert "Traceback" not in err
         assert not (tmp_path / "sweep.csv").exists()
 
+    def test_overflowing_frame_variances_sweep_without_warning(self, tmp_path, capsys):
+        """At 1e300 mA the frame variances' deviations overflow when squared.
+        The sweep uses only the mean-based level and prints no warning;
+        analyze turns the infinite error into exit 2."""
+        acquisition = dict(SMALL_CONFIG["acquisition"], photocurrent_ma=1e300)
+        path = tmp_path / "bright.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, acquisition=acquisition)))
+        out = tmp_path / "out"
+        assert run("--config", path, "--out", out, "sweep-loss", "--monte-carlo",
+                   "--mc-frames", "4") == 0
+        assert capsys.readouterr().err == ""
+        assert run("--config", path, "--out", out, "simulate") == 0
+        assert run("--config", path, "--out", out / "analysis", "analyze",
+                   out / "signal.trace", out / "shot.trace") == 2
+        assert "the level or the plateau statistics are not finite" in capsys.readouterr().err
+
 
 class TestPlanWdm:
     def test_default_plan(self, tmp_path, capsys):
@@ -1070,12 +1118,9 @@ class TestPlanWdm:
 
 
 @pytest.mark.parametrize("write", [
-    lambda path: write_plan_json(path, replace(plan_bands(), carrier_f=math.nan)),
-    lambda path: write_plan_csv(path, replace(plan_bands(), pairs=((1.0, 2.0), ("x", 3.0)))),
-    lambda path: ExperimentConfig(
-        acquisition=AcquisitionConfig(clearance_at_43ghz_db=math.nan)).dump(path),
+    lambda path: write_json(path, replace(plan_bands(), carrier_f=math.nan).to_dict()),
     lambda path: traceio.write_csv(path, ["x"], ([float(x)] for x in ("1", "x"))),
-], ids=["plan.json", "plan.csv", "config.json", "write_csv"])
+], ids=["write_json", "write_csv"])
 def test_failed_write_keeps_old_file(tmp_path, write):
     path = tmp_path / "out"
     path.write_text("old\n")
@@ -1123,7 +1168,7 @@ class TestConfigRoundTrip:
     @given(_configs)
     def test_random_config_dump_load(self, tmp_path_factory, cfg):
         path = tmp_path_factory.mktemp("cfg") / "cfg.json"
-        cfg.dump(path)
+        write_json(path, cfg.to_dict())
         assert ExperimentConfig.load(path) == cfg
 
     @pytest.mark.xfail(strict=True, reason="no float64 number of ns times 1e-9 is 1e-12")
@@ -1142,7 +1187,7 @@ class TestConfigRoundTrip:
     def test_dump_load(self, tmp_path):
         cfg = ExperimentConfig.from_dict(SMALL_CONFIG)
         path = tmp_path / "cfg.json"
-        cfg.dump(path)
+        write_json(path, cfg.to_dict())
         assert ExperimentConfig.load(path) == cfg
 
     def test_defaults_round_trip(self):

@@ -153,8 +153,8 @@ def test_one_chunk_budget_sets_every_chunk(tmp_path, monkeypatch):
     acq = AcquisitionConfig(record_duration=6.25e-9, samples_per_frame=1000, frames=20)
     monkeypatch.setattr(signal_chain, "CHUNK_BYTES", 2 * 16 * 1000 + 15999)
     ens = synthesize_frames(ChainModel(), FrequencyResponse(), acq)
-    assert [len(c) for c in signal_chain.frame_chunks(ChainModel(), FrequencyResponse(),
-                                                      acq)] == [2] * 10
+    assert [len(c) for _, _, c in signal_chain.shared_frame_chunks(
+        (ChainModel(),), FrequencyResponse(), acq)] == [2] * 10
     with traceio.trace_writer(tmp_path / "t.trace", acq, 0.0, 20) as write:
         write(ens.samples)
     with traceio.TraceReader(tmp_path / "t.trace") as reader:
@@ -186,11 +186,12 @@ def test_paper_frames_are_synthesized_one_per_chunk():
     8-bytes-per-sample rule gave, peak above this bound at 1.44 MiB."""
     acq = AcquisitionConfig(frames=8)
     chain = paper_default_chain()
-    for _ in signal_chain.frame_chunks(chain, FrequencyResponse(), acq, n_frames=1):
+    for _ in signal_chain.shared_frame_chunks((chain,), FrequencyResponse(), acq, n_frames=1):
         pass                    # numpy.random's one-time set-up allocates ~1 MB
     tracemalloc.start()
     try:
-        rows = [len(c) for c in signal_chain.frame_chunks(chain, FrequencyResponse(), acq)]
+        rows = [len(c) for _, _, c in signal_chain.shared_frame_chunks(
+            (chain,), FrequencyResponse(), acq)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

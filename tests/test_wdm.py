@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opahd import wdm
-from opahd.wdm import plan_bands, write_plan_csv, write_plan_json
+from opahd.cli import main
+from opahd.wdm import plan_bands
 
 
 def channel_intervals(plan):
@@ -120,20 +121,21 @@ def test_random_geometry_invariants(carrier, spacing, width_frac, bandwidth, gua
 
 class TestExport:
     def test_json(self, tmp_path):
-        plan = plan_bands()
-        path = tmp_path / "plan.json"
-        write_plan_json(path, plan)
-        data = json.loads(path.read_text())
-        assert data["schema_version"] == 1
+        assert main(["--out", str(tmp_path), "plan-wdm"]) == 0
+        text = (tmp_path / "plan.json").read_text()
+        assert text.endswith("}\n")
+        data = json.loads(text)
+        assert data == {"schema_version": 1, **plan_bands().to_dict()}
         assert len(data["pairs"]) == 30
         assert data["pairs"][0]["lower_hz"] + data["pairs"][0]["upper_hz"] == \
             pytest.approx(2 * 194.0e12)
 
     def test_csv(self, tmp_path):
-        plan = plan_bands()
-        path = tmp_path / "plan.csv"
-        write_plan_csv(path, plan)
-        with open(path, newline="") as fh:
+        assert main(["--out", str(tmp_path), "plan-wdm"]) == 0
+        with open(tmp_path / "plan.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 30
         assert set(rows[0]) == {"pair_index", "lower_hz", "upper_hz", "width_hz"}
+        for i, (row, (lo, hi)) in enumerate(zip(rows, plan_bands().pairs)):
+            assert row == {"pair_index": str(i), "lower_hz": f"{lo:.6f}",
+                           "upper_hz": f"{hi:.6f}", "width_hz": f"{100e9:.6f}"}
