@@ -26,17 +26,9 @@ header cannot hold (1 fs to 2**64 - 1 fs).
 Each of the two commands has two independent streams: simulate synthesizes,
 writes and takes the variances of the signal ensemble (seed) and of the shot
 ensemble (seed + 1); analyze makes the signal file's first pass and then its
-histogram pass, and the shot file's first pass. Both commands follow one
-rule (_two_threads): the shot stream runs on a worker thread (numpy releases
-the interpreter lock in its RNG, FFTs and file I/O) only on two CPUs, with
-frames of at least THREADED_MIN_SAMPLES samples and a stream of more than one
-chunk. The outputs do not depend on it. If either stream fails, the other
-stops at its next chunk and the command exits as it would have on one thread.
-main first allocates and frees one 2 MiB block, which stops glibc from mapping
-and unmapping the per-chunk temporaries on every call (see MMAP_BLOCK_BYTES),
-and hides OpenSSL's _hashlib unless it is loaded already, so that numpy.random
-does not map libcrypto; hashlib then gives the same digests from CPython's own
-modules.
+histogram pass, and the shot file's first pass. Under one rule (_two_threads)
+the shot stream runs on a worker thread, and the outputs do not depend on it.
+If either stream fails, the other stops at its next chunk (_both).
 
 sweep-loss --monte-carlo shares the signal and shot seeds' per-frame streams
 across all points (common random numbers): each frame's noise is drawn once
@@ -50,8 +42,9 @@ exits 3 when a field of the fit result is not finite. It makes the output
 directory only once it has a result to write.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numeric failure, 4 I/O or
-memory error. A command that fails removes the output directory if it made
-it and the directory is still empty.
+memory error, 128 + the signal's number on SIGINT, SIGTERM or SIGHUP. A
+command that fails or is stopped removes the output directory if it made it
+and the directory is still empty.
 """
 from __future__ import annotations
 
@@ -60,6 +53,7 @@ import contextlib
 import csv
 import math
 import os
+import signal
 import sys
 import threading
 from functools import partial
@@ -164,9 +158,10 @@ THREADED_MIN_SAMPLES = 1024
 
 
 def _two_threads(samples_per_frame: int, frames: int) -> bool:
-    """Whether a command runs its two streams on two threads: only when this
-    process may use two CPUs, frames have at least THREADED_MIN_SAMPLES
-    samples and a stream holds more than one chunk of samples."""
+    """Whether a command runs its two streams on two threads, which numpy's
+    RNG, FFTs and file I/O let run at once by releasing the interpreter lock:
+    only when this process may use two CPUs, frames have at least
+    THREADED_MIN_SAMPLES samples and a stream holds more than one chunk."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:          # the platform cannot say
@@ -186,7 +181,8 @@ def _both(first, second, threaded: bool) -> tuple:
     A stream passes each of its chunk iterators through chunks, which stops it
     at its next chunk once the other stream has raised. The first exception
     raised is then re-raised here, in the calling thread, after both streams
-    have ended and so have removed their temporary files.
+    have ended and so have removed their temporary files; an interrupt while
+    the calling thread waits for the worker stops the worker the same way.
     """
     failed = threading.Event()
 
@@ -198,7 +194,7 @@ def _both(first, second, threaded: bool) -> tuple:
 
     if not threaded:
         return first(chunks), second(chunks)
-    results, errors = [None, None], []
+    results, errors, worker_done = [None, None], [], threading.Event()
 
     def run(i, stream):
         try:
@@ -206,11 +202,18 @@ def _both(first, second, threaded: bool) -> tuple:
         except BaseException as err:    # re-raised below, in the calling thread
             errors.append(err)
             failed.set()
+        if i == 1:
+            worker_done.set()
 
-    worker = threading.Thread(target=run, args=(1, second))
-    worker.start()
-    run(0, first)
-    worker.join()
+    threading.Thread(target=run, args=(1, second)).start()
+    try:
+        run(0, first)
+        # Not Thread.join: a signal that interrupts join can mark a running
+        # thread as stopped (bpo-45274), and the process would exit without it.
+        worker_done.wait()
+    finally:        # the worker has ended here, unless an interrupt came first
+        failed.set()
+        worker_done.wait()
     for err in errors:
         if not isinstance(err, _Stopped):
             raise err
@@ -264,7 +267,7 @@ def _quiet():
 
 def _first_pass(reader: traceio.TraceReader, window: str, chunks) -> ana.FrameStats:
     """Reduce a trace file chunk by chunk; every sample must be finite."""
-    stats = ana.FrameStats(reader.acquisition, reader.meta["frames"], window)
+    stats = ana.FrameStats(reader.acquisition, reader.acquisition.frames, window)
     with _quiet():
         stats.add(chunks(reader.chunks()))
     if not (np.isfinite(stats.lo) and np.isfinite(stats.hi)):
@@ -286,8 +289,8 @@ def cmd_analyze(args) -> int:
 
         (signal, (edges, counts)), shot = _both(
             signal_passes, partial(_first_pass, shot_file, window),
-            _two_threads(sig_file.meta["samples_per_frame"],
-                         max(f.meta["frames"] for f in (sig_file, shot_file))))
+            _two_threads(sig_file.acquisition.samples_per_frame,
+                         max(f.acquisition.frames for f in (sig_file, shot_file))))
     rel = ana.relative_level(signal.spectrum(), shot.spectrum())
     level_db, err_db = ana.level_from_variances(signal.variances, shot.variances)
     center_hz = cfg.analysis.mask_center_ghz * 1e9
@@ -439,6 +442,14 @@ _COMMANDS = {
 MMAP_BLOCK_BYTES = 2 << 20
 
 
+class _Signalled(BaseException):
+    """Raised by a stop signal, so that a command unwinds as on any error."""
+
+
+def _raise_signalled(signum, frame):
+    raise _Signalled(signum)
+
+
 def main(argv=None) -> int:
     np.empty(MMAP_BLOCK_BYTES, dtype=np.uint8)      # freed at once, never touched
     # numpy.random imports secrets, hmac and so _hashlib, which maps OpenSSL's
@@ -447,8 +458,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     made_out = not os.path.lexists(args.out)
+    # Only the main thread may set handlers; a signal ignored (nohup) stays so.
+    main_thread = threading.current_thread() is threading.main_thread()
+    handlers = {sig: signal.signal(sig, _raise_signalled)
+                for sig in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
+                if main_thread and signal.getsignal(sig) != signal.SIG_IGN}
     try:
         return _COMMANDS[args.command](args)
+    except _Signalled as err:
+        message, code = f"interrupted by {signal.Signals(err.args[0]).name}", 128 + err.args[0]
     except (ConfigError, traceio.TraceFormatError, ValueError) as err:
         message, code = f"error: {err}", EXIT_USAGE
     except (FitConvergenceError, FloatingPointError, ArithmeticError) as err:
@@ -457,6 +475,9 @@ def main(argv=None) -> int:
         message, code = f"I/O error: {err}", EXIT_IO
     except MemoryError as err:      # numpy's message names the refused allocation
         message, code = f"memory error: {err}", EXIT_IO
+    finally:
+        for sig, handler in handlers.items():
+            signal.signal(sig, handler)
     print(message, file=sys.stderr)
     if made_out:
         # A failed command leaves no output directory it made; rmdir removes

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import AnalysisOptions
@@ -33,14 +33,6 @@ def _in_unit(value: float, scale: float) -> float:
     return x
 
 
-def _section(raw: dict, key: str) -> dict:
-    """The object raw[key], empty when the key is omitted."""
-    section = raw.get(key, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{key} must be an object")
-    return section
-
-
 def _integer(key: str, value) -> int:
     """value as an int, refusing any value that int() would change (512.5, "8", true)."""
     if isinstance(value, float) and value.is_integer():
@@ -60,8 +52,8 @@ def _number(key: str, value) -> float:
 # Each section's keys as (JSON key, field, unit or converter), in file order.
 # A unit, the key's unit in SI, loads as _number(key, v) * unit and dumps as
 # _in_unit(value, unit); a converter, converter(key, v), applies at load only.
-# An omitted key takes the field's default. The analysis keys are
-# AnalysisOptions' fields as they are.
+# An omitted key takes the field's default; a key not listed is refused. The
+# analysis keys pass through as they are, so AnalysisOptions checks them.
 _TOP_KEYS = (("seed", "seed", _integer),)
 _CHAIN_KEYS = (("lo_phase_rad", "lo_phase", _number),)
 _SECTIONS = {
@@ -78,15 +70,9 @@ _SECTIONS = {
         ("scope_cutoff_ghz", "scope_cutoff", 1e9),
         ("filter_order", "filter_order", _integer),
     )),
+    "analysis": (AnalysisOptions, tuple((name, name, lambda key, v: v) for name in (
+        "mask_center_ghz", "mask_width_ghz", "histogram_bins", "window"))),
 }
-
-
-def _stage(raw: dict) -> ChannelSpec:
-    """A chain stage; unlike ChannelSpec, a config takes no "0.5" or true parameter."""
-    spec = ChannelSpec(raw["kind"], {k: v for k, v in raw.items() if k != "kind"})
-    for k in spec.param_names:
-        _number(f"{spec.kind} channel parameter {k}", raw[k])
-    return spec
 
 
 def _dump(obj, keys) -> dict:
@@ -94,7 +80,15 @@ def _dump(obj, keys) -> dict:
             else getattr(obj, name) for key, name, unit in keys}
 
 
-def _load(raw: dict, keys) -> dict:
+def _load(raw: dict, where: str, keys, others=()) -> dict:
+    """The fields that the object raw, called where in messages, gives through
+    keys; a key that neither keys nor others lists is refused."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object")
+    listed = {key for key, _, _ in keys}.union(others)
+    for key in raw:
+        if key not in listed:
+            raise ConfigError(f"{where} has no key {key!r}")
     return {name: _number(key, raw[key]) * unit if isinstance(unit, float)
             else unit(key, raw[key]) for key, name, unit in keys if key in raw}
 
@@ -118,26 +112,26 @@ class ExperimentConfig:
             "chain": {**_dump(self.chain, _CHAIN_KEYS),
                       "stages": [{"kind": s.kind, **s.params} for s in self.chain.stages]},
             **{key: _dump(getattr(self, key), keys) for key, (_, keys) in _SECTIONS.items()},
-            "analysis": asdict(self.analysis),
         }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
+            top = _load(raw, "config", _TOP_KEYS, ("schema_version", "chain", *_SECTIONS))
             version = raw.get("schema_version", SCHEMA_VERSION)
             if version != SCHEMA_VERSION:
                 raise ConfigError(f"unsupported schema_version {version}")
-            chain_raw = _section(raw, "chain")
+            chain_raw = raw.get("chain", {})
+            chain = _load(chain_raw, "chain", _CHAIN_KEYS, ("stages",))
             stages_raw = chain_raw.get("stages", [])
             if not (isinstance(stages_raw, list)
                     and all(isinstance(st, dict) for st in stages_raw)):
                 raise ConfigError("chain.stages must be a list of objects")
-            stages = tuple(_stage(st) for st in stages_raw)
-            chain = ChainModel(stages=stages, **_load(chain_raw, _CHAIN_KEYS))
-            sections = {key: section_cls(**_load(_section(raw, key), keys))
+            stages = tuple(ChannelSpec(st["kind"], {k: v for k, v in st.items() if k != "kind"})
+                           for st in stages_raw)
+            sections = {key: section_cls(**_load(raw.get(key, {}), key, keys))
                         for key, (section_cls, keys) in _SECTIONS.items()}
-            return cls(chain=chain, analysis=AnalysisOptions(**_section(raw, "analysis")),
-                       **sections, **_load(raw, _TOP_KEYS))
+            return cls(chain=ChainModel(stages=stages, **chain), **sections, **top)
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError, OverflowError) as err:
@@ -149,6 +143,4 @@ class ExperimentConfig:
             raw = json.loads(Path(path).read_text())
         except json.JSONDecodeError as err:
             raise ConfigError(f"{path}: not valid JSON: {err}") from err
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: top level must be an object")
         return cls.from_dict(raw)

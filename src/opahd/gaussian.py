@@ -7,6 +7,7 @@ power gain on the X quadrature (gain_db = 10 log10 G).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -100,8 +101,9 @@ def _fold(maps, vx: float, c: float, vp: float) -> tuple:
 class ChannelSpec:
     """One stage of the measurement chain.
 
-    kind is one of "squeeze", "loss", "phase", "psa"; params holds the
-    stage parameters keyed by name (r, eta, theta, gain_db/eta_opa). A psa is
+    kind is one of "squeeze", "loss", "phase", "psa"; params holds exactly
+    the kind's parameters keyed by name (r, eta, theta, gain_db/eta_opa), each
+    a real number that is not a bool, and keeps them as floats. A psa is
     an internal loss eta_opa followed by noiseless X → √G·X, P → P/√G with
     G = 10^(gain_db/10), so its own vacuum contribution is amplified along
     with the signal. maps is the stage compiled to covariance maps.
@@ -126,31 +128,25 @@ class ChannelSpec:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown channel kind {self.kind!r}")
         ranges, build = self._KINDS[self.kind]
-        missing = [k for k, _, _ in ranges if k not in self.params]
-        if missing:
-            raise ValueError(f"{self.kind} channel missing parameters {missing}")
+        names = [k for k, _, _ in ranges]
+        if set(self.params) != set(names):
+            raise ValueError(f"{self.kind} channel takes exactly the parameters {names}, "
+                             f"got {list(self.params)}")
         p = dict(self.params)
         for k, lo, hi in ranges:
-            try:
-                value = float(p[k])
-            except (TypeError, ValueError):
-                value = math.nan
-            if not math.isfinite(value):
+            value = p[k]
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                               and math.isfinite(value)):
                 raise ValueError(f"{self.kind} channel parameter {k} must be a finite "
-                                 f"number, got {p[k]!r}")
+                                 f"number, got {value!r}")
+            p[k] = value = float(value)
             if not lo <= value <= hi:
                 raise ValueError(f"{self.kind} {k} must be within [{lo:.6g}, {hi:.6g}], "
                                  f"got {value}")
-            p[k] = value
         object.__setattr__(self, "params", p)
         # An identity map changes nothing and must not add rounding noise.
-        maps = build(*(p[k] for k, _, _ in ranges))
+        maps = build(*(p[k] for k in names))
         object.__setattr__(self, "maps", tuple(m for m in maps if m != _IDENTITY))
-
-    @property
-    def param_names(self) -> tuple:
-        """The names of this kind's parameters."""
-        return tuple(k for k, _, _ in self._KINDS[self.kind][0])
 
 
 def squeeze(r: float) -> ChannelSpec:

@@ -116,14 +116,16 @@ def write_traces(path: str | Path, ens: Ensemble) -> None:
 
 class TraceReader:
     """An open trace file whose header and size have been checked, read chunk
-    by chunk. Use it as a context manager, which closes the file."""
+    by chunk. Opening it reads the header into acquisition, the
+    AcquisitionConfig it records, and theta, the LO phase in rad. Use it as a
+    context manager, which closes the file."""
 
     def __init__(self, path: str | Path):
         self.path = path
         self._buf = None            # chunks' buffer, kept for every pass
         self._fh = open(path, "rb")
         try:
-            self.meta = self._read_header()
+            self.acquisition, self.theta = self._read_header()
         except BaseException:
             self._fh.close()
             raise
@@ -134,34 +136,27 @@ class TraceReader:
     def __exit__(self, *exc) -> None:
         self._fh.close()
 
-    def _read_header(self) -> dict:
+    def _read_header(self) -> tuple[AcquisitionConfig, float]:
         path, fh = self.path, self._fh
         head = fh.read(HEADER_SIZE)
         if len(head) < HEADER_SIZE:
             raise TraceFormatError(f"{path}: file shorter than header")
-        magic, version, n_samples, n_frames, dt_fs, theta_urad = struct.unpack(
-            _HEADER_FMT, head)
+        magic, version, n, frames, dt_fs, theta_urad = struct.unpack(_HEADER_FMT, head)
         if magic != MAGIC:
             raise TraceFormatError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise TraceFormatError(f"{path}: unsupported version {version}")
-        expected = HEADER_SIZE + 8 * n_samples * n_frames
+        expected = HEADER_SIZE + 8 * n * frames
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise TraceFormatError(
                 f"{path}: size {size} does not match header ({expected} expected)")
-        return {
-            "version": version,
-            "samples_per_frame": int(n_samples),
-            "frames": int(n_frames),
-            "sample_interval_s": dt_fs * 1e-15,
-            "theta_rad": theta_urad * 1e-6,
-        }
-
-    @property
-    def acquisition(self) -> AcquisitionConfig:
-        """The acquisition settings the header records."""
-        return config_from_meta(self.meta)
+        try:
+            acq = AcquisitionConfig(record_duration=n * (dt_fs * 1e-15),
+                                    samples_per_frame=n, frames=frames)
+        except ValueError as err:
+            raise TraceFormatError(f"{path}: {err}") from None
+        return acq, theta_urad * 1e-6
 
     def _fill(self, out: np.ndarray) -> None:
         if self._fh.readinto(out) != out.nbytes:
@@ -172,7 +167,7 @@ class TraceReader:
         rows. Each chunk is a view into the reader's one buffer, which the next
         chunk, of this pass or a later one, overwrites. Every call starts again
         from the first frame."""
-        n, frames = self.meta["samples_per_frame"], self.meta["frames"]
+        n, frames = self.acquisition.samples_per_frame, self.acquisition.frames
         rows = frame_rows(n, frames)
         if self._buf is None or len(self._buf) != rows:
             self._buf = np.empty((rows, n), dtype="<f8")
@@ -183,21 +178,16 @@ class TraceReader:
             yield view
 
 
-def read_traces(path: str | Path) -> tuple[np.ndarray, dict]:
-    """Load a trace file; returns (frames × samples array, header metadata)."""
+def read_traces(path: str | Path) -> tuple[np.ndarray, AcquisitionConfig, float]:
+    """Load a whole trace file as (frames × samples array, the AcquisitionConfig
+    its header records, LO phase theta in rad)."""
     with TraceReader(path) as reader:
-        out = np.empty((reader.meta["frames"], reader.meta["samples_per_frame"]), dtype="<f8")
+        acq = reader.acquisition
+        out = np.empty((acq.frames, acq.samples_per_frame), dtype="<f8")
         reader._fill(out)           # the file is positioned just past the header
-        return out, reader.meta
+        return out, acq, reader.theta
 
 
-def config_from_meta(meta: dict) -> AcquisitionConfig:
-    """The acquisition settings recorded in a trace header."""
-    n = meta["samples_per_frame"]
-    return AcquisitionConfig(record_duration=n * meta["sample_interval_s"],
-                             samples_per_frame=n, frames=meta["frames"])
-
-
-def records_from_array(data: np.ndarray, meta: dict) -> Ensemble:
+def records_from_array(data: np.ndarray, acq: AcquisitionConfig, theta: float) -> Ensemble:
     """Wrap a loaded array as an Ensemble without copying it."""
-    return Ensemble(samples=data, config=config_from_meta(meta), theta=meta["theta_rad"])
+    return Ensemble(samples=data, config=acq, theta=theta)

@@ -7,11 +7,13 @@ import io
 import json
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import warnings
 
 from dataclasses import replace
@@ -197,24 +199,34 @@ class TestSimulate:
         ({"acquisition": dict(SMALL_CONFIG["acquisition"], clearance_at_43ghz_db=False)},
          "clearance_at_43ghz_db must be a number, got False"),
         ({"chain": {"stages": [{"kind": "loss", "eta": "0.5"}]}},
-         "loss channel parameter eta must be a number, got '0.5'"),
+         "loss channel parameter eta must be a finite number, got '0.5'"),
         ({"chain": {"stages": [{"kind": "loss", "eta": True}]}},
-         "loss channel parameter eta must be a number, got True"),
+         "loss channel parameter eta must be a finite number, got True"),
         ({"analysis": {"mask_center_ghz": True}},
          "mask_center_ghz and mask_width_ghz must be finite and mask_width_ghz >= 0, "
          "got (True, 1.0)"),
+        ({"sed": 5}, "config has no key 'sed'"),
+        ({"chain": dict(SMALL_CONFIG["chain"], lo_phase=1.5708)},
+         "chain has no key 'lo_phase'"),
+        ({"acquisition": dict(SMALL_CONFIG["acquisition"], sample_per_frame=512)},
+         "acquisition has no key 'sample_per_frame'"),
+        ({"response": {"detector_f3db": 43e9}}, "response has no key 'detector_f3db'"),
+        ({"chain": {"stages": [{"kind": "loss", "eta": 0.5, "gain_db": 35.0}]}},
+         "loss channel takes exactly the parameters ['eta'], got ['eta', 'gain_db']"),
     ], ids=["stages-string", "stages-object", "stage-list", "chain-string",
             "acquisition-string", "window", "bins-fraction", "bins-string", "mask-nan",
             "mask-inf", "samples-2**32", "samples-fraction", "frames-fraction",
             "frames-string", "frames-bool", "filter-order-fraction", "seed-fraction",
             "seed-inf", "photocurrent-bool", "duration-string", "lo-phase-string",
-            "clearance-bool", "eta-string", "eta-bool", "mask-bool"])
+            "clearance-bool", "eta-string", "eta-bool", "mask-bool", "unknown-top-key",
+            "unknown-chain-key", "unknown-acquisition-key", "unknown-response-key",
+            "unknown-stage-parameter"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, section, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**SMALL_CONFIG, **section}))
         assert run("--config", path, "--out", tmp_path / "out", "simulate") == 2
         err = capsys.readouterr().err
-        assert message in err
+        assert message in err and err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -545,6 +557,74 @@ def test_commands_map_no_libcrypto(tmp_path, config_path):
         pytest.skip("importing numpy loads _hashlib here")
     assert child.returncode == 0, child.stderr
     assert child.stderr == ""
+
+
+# Runs main with _two_threads forced to argv[1] ("0" or "1") and each chunk
+# of the streams whose master seeds argv[2] lists slowed by 50 ms, after a
+# line with the seed on stdout. SIGINT is not ignored, as in a terminal, even
+# where the test runs with it ignored.
+SLOWED_CHILD = """
+import signal, sys, time
+from opahd import cli
+threaded, slow, *argv = sys.argv[1:]
+signal.signal(signal.SIGINT, signal.default_int_handler)
+cli._two_threads = lambda *args: threaded == "1"
+chunks = cli.shared_frame_chunks
+
+def slowed(*args, master_seed, **kwargs):
+    for item in chunks(*args, master_seed=master_seed, **kwargs):
+        if str(master_seed) in slow.split(","):
+            print(master_seed, flush=True)
+            time.sleep(0.05)
+        yield item
+
+cli.shared_frame_chunks = slowed
+sys.exit(cli.main(argv))
+"""
+
+
+@pytest.mark.parametrize("threaded, slow, sig", [
+    ("0", "0,1", signal.SIGINT), ("0", "0,1", signal.SIGTERM),
+    ("1", "0,1", signal.SIGINT), ("1", "0,1", signal.SIGTERM), ("1", "1", signal.SIGTERM),
+], ids=["one-thread-sigint", "one-thread-sigterm", "two-threads-sigint",
+        "two-threads-sigterm", "during-join-sigterm"])
+def test_signal_leaves_no_partial_output(tmp_path, threaded, slow, sig):
+    """SIGINT or SIGTERM in the middle of simulate exits 128 + the signal's
+    number with one line on stderr, and leaves no temporary file and no output
+    directory. A signal that comes while the main thread waits for the worker,
+    after the main stream has put its trace in place, stops the worker too."""
+    acquisition = dict(SMALL_CONFIG["acquisition"], record_duration_ns=6.4,
+                       samples_per_frame=1024, frames=1600)    # 100 chunks a stream
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(SMALL_CONFIG, seed=0, acquisition=acquisition)))
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    child = subprocess.Popen(
+        [sys.executable, "-c", SLOWED_CHILD, threaded, slow, "--config", path, "--out", out,
+         "simulate"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        # Each slowed stream that runs from the start has a temporary file.
+        running = set(slow.split(",")) if threaded == "1" else {"0"}
+        seen = set()
+        while not running <= seen:
+            line = child.stdout.readline()
+            assert line, child.stderr.read()
+            seen.add(line.strip())
+        deadline = time.monotonic() + 60
+        while slow == "1" and not (out / "signal.trace").exists():
+            assert time.monotonic() < deadline and child.poll() is None
+            time.sleep(0.01)
+        child.send_signal(sig)
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+    assert child.returncode == 128 + sig
+    assert err == f"interrupted by {signal.Signals(sig).name}\n"
+    assert not list(tmp_path.rglob("*.tmp"))
+    if slow == "1":
+        assert [p.name for p in out.iterdir()] == ["signal.trace"]
+    else:
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -905,10 +985,15 @@ _OPTIONAL_PATHS = [("seed",), ("chain", "lo_phase_rad"),
                    *[(section, key) for section in _SECTIONS for key in FUZZ_CONFIG[section]]]
 _WRONG_TYPES = st.sampled_from(["abc", "0.4", True, False, [], [1.0], {}, {"x": 1}])
 _NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-_EXTRA = st.tuples(st.sampled_from(["extra", "note", "Frames", "seed_"]),
-                   st.one_of(st.none(), st.integers(-9, 9), st.text(max_size=3)))
+# Keys that no table lists, anywhere a config holds keys: the top level,
+# chain, a stage and each section.
+_UNKNOWN_KEYS = [(*where, name)
+                 for where in [(), ("chain",), _STAGES[1], *[(s,) for s in _SECTIONS]]
+                 for name in ["extra", "note", "Frames", "seed_", "bins", "lo_phase"]]
 # Each change makes any config invalid: a path and the value it gets.
 _INVALID_CHANGES = st.one_of(
+    st.tuples(st.sampled_from(_UNKNOWN_KEYS),
+              st.one_of(st.none(), st.integers(-9, 9), st.text(max_size=3))),
     st.tuples(st.sampled_from(_FLOAT_PATHS + _COUNT_PATHS + _INT_PATHS + _STRING_PATHS),
               _WRONG_TYPES | st.none()),
     st.tuples(st.just(_CLEARANCE), _WRONG_TYPES),
@@ -924,9 +1009,7 @@ _INVALID_CHANGES = st.one_of(
         _PARAMS, [(-1e6, 1e6), (-1.0, 1e6), (-0.5, 1.5), (-0.5, 1.5)]) for value in values]),
     st.tuples(st.sampled_from(_KINDS + _PARAMS), st.just("drop")),
     st.tuples(st.sampled_from([("chain",), *[(section,) for section in _SECTIONS],
-                               ("chain", "stages")]), st.sampled_from(["abc", 1, None])),
-    st.tuples(st.sampled_from([("analysis", "bins"), ("analysis", "frames")]),
-              st.integers(2, 9)))
+                               ("chain", "stages")]), st.sampled_from(["abc", 1, None])))
 
 
 def _at(cfg, path):
@@ -943,17 +1026,13 @@ def _at(cfg, path):
 
 @st.composite
 def _invalid_configs(draw):
-    """FUZZ_CONFIG with optional keys dropped and unknown keys added, which
-    leave it valid, then one to three changes each of which makes it invalid:
-    a wrong type, a non-finite number, a huge integer, a bad stage, a section
-    that is not an object, or an unknown analysis key."""
+    """FUZZ_CONFIG with optional keys dropped, which leaves it valid, then one
+    to three changes each of which makes it invalid: a wrong type, a
+    non-finite number, a huge integer, a bad stage, a section that is not an
+    object, or a key that no table lists."""
     cfg = json.loads(json.dumps(FUZZ_CONFIG))
     for path in draw(st.lists(st.sampled_from(_OPTIONAL_PATHS), max_size=4)):
         _at(cfg, path).pop(path[-1], None)
-    for where in draw(st.lists(st.sampled_from(
-            [(), ("chain",), ("acquisition",), ("response",), _STAGES[1]]), max_size=3)):
-        name, value = draw(_EXTRA)
-        _at(cfg, (*where, name))[name] = value
     for path, value in draw(st.lists(_INVALID_CHANGES, min_size=1, max_size=3)):
         parent = _at(cfg, path)
         if parent is not None and value == "drop":
@@ -971,9 +1050,9 @@ def _invalid_configs(draw):
                                 ["analyze", "signal.trace", "shot.trace"]]))
 def test_fuzzed_config_exits_2_before_any_output(raw, command):
     """A config with a wrong type, a non-finite number, a huge integer, a bad
-    stage or a section that is not an object fails at load, with a one-line
-    error, exit 2 and no output directory, however its valid keys are
-    dropped or unknown ones added."""
+    stage, a section that is not an object or an unknown key fails at load,
+    with a one-line error, exit 2 and no output directory, however its
+    optional keys are dropped."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(raw))
@@ -987,6 +1066,65 @@ def test_fuzzed_config_exits_2_before_any_output(raw, command):
         assert code == 2, err.getvalue()
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert not out.exists()
+
+
+# Values for the flags of sweep-loss and plan-wdm as (valid, invalid or
+# extreme). The plan-wdm values hold a plan to at most 300 pairs, or are
+# rejected before any pair is built.
+_SWEEP_VALUES = {
+    "--added-loss": (["0", "0.5", "0.99"], ["1", "-0.1", "nan", "inf", "1e400", "abc", ""]),
+    "--gains-db": (["0", "35"], ["-5", "1541.4", "nan", "inf", "x", ""]),
+}
+_MC_FRAMES = (["2", "64"], ["-1", "0", "1", "2.5", "x"])
+_PLAN_VALUES = {
+    "--carrier-thz": (["194"], ["0", "-1", "1e400", "nan", "abc"]),
+    "--spacing-ghz": (["100", "10"], ["1e-300", "0", "-1", "inf", "abc"]),
+    "--width-ghz": (["100", "50"], ["0", "200", "nan", "abc"]),
+    "--bandwidth-thz": (["6", "1", "0"], ["1e-300", "-1", "inf", "abc"]),
+    "--guard-ghz": (["0", "10"], ["-1", "1e300", "nan", "abc"]),
+}
+
+
+@st.composite
+def _sweep_and_plan_argv(draw):
+    """sweep-loss with at most 2 × 2 points and 64 Monte-Carlo frames, or
+    plan-wdm with each flag omitted or given; most values drawn are valid."""
+    def value(pool):
+        valid, invalid = pool
+        return draw(st.sampled_from(valid * 4 + invalid))
+
+    if draw(st.booleans()):
+        argv = ["sweep-loss", f"--mc-frames={value(_MC_FRAMES)}"]
+        argv += [f"{flag}={','.join(value(pool) for _ in range(draw(st.integers(1, 2))))}"
+                 for flag, pool in _SWEEP_VALUES.items()]
+        return argv + ["--monte-carlo"] * draw(st.integers(0, 1))
+    argv = ["plan-wdm"] + ["--grid-aligned"] * draw(st.integers(0, 1))
+    return argv + [f"{flag}={value(pool)}" for flag, pool in _PLAN_VALUES.items()
+                   if draw(st.booleans())]
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_sweep_and_plan_argv())
+def test_fuzzed_sweep_and_plan_arguments_exit_cleanly(argv):
+    """sweep-loss and plan-wdm exit 0, 2, 3 or 4 on any of their arguments,
+    with no traceback, and a failure leaves no output directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(FUZZ_CONFIG))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = run("--config", path, "--out", out, *argv)
+            except SystemExit as stop:      # argparse's usage errors
+                code = stop.code
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert not out.exists()
+        else:
+            assert {p.name for p in out.iterdir()} == (
+                {"sweep.csv"} if argv[0] == "sweep-loss" else {"plan.json", "plan.csv"})
 
 
 class TestSweepLoss:

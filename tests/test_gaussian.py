@@ -1,5 +1,6 @@
 """Gaussian-core channel maps, efficiency formulas, and pump curve."""
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -213,10 +214,14 @@ class TestChannelSpecValidation:
         with pytest.raises(ValueError, match="squeeze r must be within"):
             ChannelSpec("squeeze", {"r": r})
 
-    def test_numeric_params_become_floats(self):
-        spec = ChannelSpec("psa", {"gain_db": 35, "eta_opa": "0.79"})
+    def test_only_real_numbers_become_floats(self):
+        spec = ChannelSpec("psa", {"gain_db": 35, "eta_opa": 0.79})
         assert spec.params == {"gain_db": 35.0, "eta_opa": 0.79}
         assert all(type(v) is float for v in spec.params.values())
+        for value in ("0.79", True):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"psa channel parameter eta_opa must be a finite number, got {value!r}")):
+                ChannelSpec("psa", {"gain_db": 35.0, "eta_opa": value})
 
     def test_psa_gain_bound_keeps_chain_finite(self):
         chain = ChainModel(stages=(psa(MAX_GAIN_DB, 0.79), phase(0.3), loss(0.076)))

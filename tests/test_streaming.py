@@ -6,6 +6,8 @@ import json
 import math
 import os
 import platform
+import re
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -95,7 +97,7 @@ def reference_power_sum(block, win):
 
 def streamed(path, window):
     with traceio.TraceReader(path) as reader:
-        stats = FrameStats(reader.acquisition, reader.meta["frames"], window)
+        stats = FrameStats(reader.acquisition, reader.acquisition.frames, window)
         stats.add(reader.chunks())
         edges, counts = pooled_histogram(reader.chunks(), 200, stats.lo, stats.hi)
     return stats, edges, counts
@@ -116,9 +118,9 @@ def test_streamed_route_matches_whole_ensemble_bit_for_bit(tmp_path, monkeypatch
     shot = synthesize_frames(chain.without_squeezing(), resp, acq, master_seed=6)
     traceio.write_traces(tmp_path / "signal.trace", sig)
     traceio.write_traces(tmp_path / "shot.trace", shot)
-    data, meta = traceio.read_traces(tmp_path / "signal.trace")
+    data, read_acq, theta = traceio.read_traces(tmp_path / "signal.trace")
     assert np.array_equal(data, sig.samples)
-    assert meta["frames"] == 300
+    assert (read_acq.frames, theta) == (300, chain.lo_phase)
 
     stats_sig, edges, counts = streamed(tmp_path / "signal.trace", window)
     stats_shot, _, _ = streamed(tmp_path / "shot.trace", window)
@@ -340,10 +342,13 @@ def test_trace_file_round_trip(tmp_path_factory, n, frames, theta_urad, interval
         for lo, hi in zip([0, *cuts], [*cuts, frames]):
             write(samples[lo:hi])
 
-    whole, meta = traceio.read_traces(path)
+    whole, read_acq, read_theta = traceio.read_traces(path)
     assert whole.tobytes() == samples.tobytes()
-    assert meta == {"version": traceio.VERSION, "samples_per_frame": n, "frames": frames,
-                    "sample_interval_s": interval_fs * 1e-15, "theta_rad": theta}
+    # The record duration is n × (interval × 1e-15) in that order, the value
+    # whose sample rate spectrum.csv's frequencies are printed from.
+    assert (read_acq, read_theta) == (
+        AcquisitionConfig(record_duration=n * (interval_fs * 1e-15), samples_per_frame=n,
+                          frames=frames), theta)
     chunk_bytes = data.draw(st.integers(1, 3 * 16 * n))
     with mock.patch.object(signal_chain, "CHUNK_BYTES", chunk_bytes), \
             traceio.TraceReader(path) as reader:
@@ -351,6 +356,18 @@ def test_trace_file_round_trip(tmp_path_factory, n, frames, theta_urad, interval
         chunks = [chunk.copy() for chunk in reader.chunks()]
     assert [len(c) for c in chunks[:-1]] == [rows] * (len(chunks) - 1)
     assert np.concatenate(chunks).tobytes() == samples.tobytes()
+
+
+@pytest.mark.parametrize("n, frames, interval_fs, message", [
+    (1, 4, 1, "samples_per_frame must be >= 2"), (4, 0, 1, "frames must be >= 1"),
+    (4, 1, 0, "record_duration must be finite and positive")])
+def test_header_that_gives_no_acquisition_names_the_file(tmp_path, n, frames, interval_fs,
+                                                         message):
+    path = tmp_path / "t.trace"
+    path.write_bytes(struct.pack(traceio._HEADER_FMT, traceio.MAGIC, traceio.VERSION, n,
+                                 frames, interval_fs, 0) + bytes(8 * n * frames))
+    with pytest.raises(traceio.TraceFormatError, match=f"^{re.escape(str(path))}: {message}"):
+        traceio.TraceReader(path)
 
 
 SWEEP_CHAIN = ChainModel(stages=(squeeze(1.0), psa(35.0, 0.79), loss(0.076)))
