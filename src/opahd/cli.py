@@ -1,50 +1,16 @@
 """Command-line interface: simulate | analyze | fit | sweep-loss | plan-wdm.
 
-Global flags: --config PATH, --seed N, --out DIR. Each flag can also be set
-through the environment as OPAHD_CONFIG, OPAHD_SEED, OPAHD_OUT (command
-line wins). An omitted plan-wdm flag, or sweep-loss --added-loss, --gains-db
-or --mc-frames, leaves the default of wdm.plan_bands or analysis.loss_sweep.
-An empty --added-loss or --gains-db list is a usage error (exit 2).
-
-simulate and analyze stream: simulate writes each trace file chunk by chunk
-as it synthesizes the frames, and analyze reduces each trace file chunk by
-chunk, with a second pass over the signal file for the histogram. Every
-chunked loop takes signal_chain.frame_rows frames at a time through buffers
-allocated once per pass, so their memory is O(chunk) however many frames a
-config asks for, plus 8 bytes per frame per stream for the per-frame
-variances. Before writing a trace, simulate reserves the whole file
-(posix_fallocate), so a full disk exits 4 before any sample is written. Every
-output file is written to a temporary file beside it and moved into place
-only when complete. JSON outputs never contain NaN or infinity. Before
-writing any output, analyze rejects (exit 2) a trace file with a non-finite
-sample, traces whose level or plateau statistics are not finite, and an
-artifact mask that leaves no plateau bin; numpy's overflow warnings on the
-way are silenced, so only the one-line error prints. Before writing a trace,
-simulate rejects (exit 2) a record_duration whose sample interval the trace
-header cannot hold (1 fs to 2**64 - 1 fs).
-
-Each of the two commands has two independent streams: simulate synthesizes,
-writes and takes the variances of the signal ensemble (seed) and of the shot
-ensemble (seed + 1); analyze makes the signal file's first pass and then its
-histogram pass, and the shot file's first pass. Under one rule (_two_threads)
-the shot stream runs on a worker thread, and the outputs do not depend on it.
-If either stream fails, the other stops at its next chunk (_both).
-
-sweep-loss --monte-carlo shares the signal and shot seeds' per-frame streams
-across all points (common random numbers): each frame's noise is drawn once
-and shaped for every point, and only per-frame variances are kept, so its
-memory is O(chunk) + 16 bytes × points × mc_frames (8 per seed).
---mc-frames must be an integer >= 2 (exit 2 otherwise, before any synthesis).
-
-fit rejects (exit 2, naming the file and line) a levels row whose field count
-differs from the header's or whose field does not parse or overflows, and
-exits 3 when a field of the fit result is not finite. It makes the output
-directory only once it has a result to write.
+simulate synthesizes the signal and shot-noise trace files and summary.json;
+analyze reduces them to spectrum.csv, levels.json and histogram.csv; fit fits
+the pump-power noise curve of a levels CSV into fit.json; sweep-loss writes
+the squeezing level against added loss to sweep.csv; plan-wdm writes the
+symmetric sideband channel pairs to plan.json and plan.csv.
 
 Exit codes: 0 success, 2 validation/usage error, 3 numeric failure, 4 I/O or
-memory error, 128 + the signal's number on SIGINT, SIGTERM or SIGHUP. A
-command that fails or is stopped removes the output directory if it made it
-and the directory is still empty.
+memory error, 128 + the signal's number on SIGINT, SIGTERM or SIGHUP. main
+makes --out before the command runs, and a command that fails or is stopped
+removes every directory made for --out that is still empty. README's "Command
+line" section gives the flags, outputs and rules of each command.
 """
 from __future__ import annotations
 
@@ -95,16 +61,6 @@ def _floats(text: str) -> tuple[float, ...]:
     return values
 
 
-def _seed(text: str) -> int:
-    """--seed's value: a non-negative integer, as numpy's SeedSequence takes."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opahd",
@@ -112,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "homodyne measurement of squeezed light.")
     parser.add_argument("--config", default=_env_default("CONFIG"),
                         help="experiment config JSON (default: built-in defaults)")
-    parser.add_argument("--seed", type=_seed, default=_env_default("SEED"),
+    parser.add_argument("--seed", type=int, default=_env_default("SEED"),
                         help="master seed override (a non-negative integer)")
     parser.add_argument("--out", default=_env_default("OUT", "."),
                         help="output directory")
@@ -167,7 +123,7 @@ def _two_threads(samples_per_frame: int, frames: int) -> bool:
     except AttributeError:          # the platform cannot say
         cpus = 1
     return (cpus >= 2 and samples_per_frame >= THREADED_MIN_SAMPLES
-            and 8 * frames * samples_per_frame > signal_chain.CHUNK_BYTES)
+            and signal_chain.frame_rows(samples_per_frame, frames) < frames)
 
 
 class _Stopped(Exception):
@@ -240,11 +196,9 @@ def _simulate_stream(cfg: ExperimentConfig, path: Path, chain, seed: int, chunks
     }
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, out: Path) -> None:
     cfg = _load_config(args)
     acq = cfg.acquisition
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     signal, shot = _both(
         partial(_simulate_stream, cfg, out / "signal.trace", cfg.chain, cfg.seed),
         partial(_simulate_stream, cfg, out / "shot.trace", cfg.chain.without_squeezing(),
@@ -254,7 +208,6 @@ def cmd_simulate(args) -> int:
                "config": cfg.to_dict(), "traces": {"signal": signal, "shot": shot}}
     traceio.write_json(out / "summary.json", summary)
     print(f"wrote {out / 'signal.trace'}, {out / 'shot.trace'}, {out / 'summary.json'}")
-    return EXIT_OK
 
 
 def _quiet():
@@ -276,12 +229,17 @@ def _first_pass(reader: traceio.TraceReader, window: str, chunks) -> ana.FrameSt
 
 
 @_quiet()
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, out: Path) -> None:
     cfg = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     window, bins = cfg.analysis.window, cfg.analysis.histogram_bins
     with traceio.TraceReader(args.traces) as sig_file, traceio.TraceReader(args.shot) as shot_file:
+        a, b = sig_file.acquisition, shot_file.acquisition
+        if (a.samples_per_frame, a.record_duration) != (b.samples_per_frame, b.record_duration):
+            raise traceio.TraceFormatError(
+                f"{sig_file.path} has {a.samples_per_frame} samples in {a.record_duration} s "
+                f"per frame and {shot_file.path} {b.samples_per_frame} in "
+                f"{b.record_duration} s: the two traces must share one frame grid")
+
         def signal_passes(chunks):
             stats = _first_pass(sig_file, window, chunks)
             return stats, ana.pooled_histogram(chunks(sig_file.chunks()), bins,
@@ -289,8 +247,7 @@ def cmd_analyze(args) -> int:
 
         (signal, (edges, counts)), shot = _both(
             signal_passes, partial(_first_pass, shot_file, window),
-            _two_threads(sig_file.acquisition.samples_per_frame,
-                         max(f.acquisition.frames for f in (sig_file, shot_file))))
+            _two_threads(a.samples_per_frame, max(a.frames, b.frames)))
     rel = ana.relative_level(signal.spectrum(), shot.spectrum())
     level_db, err_db = ana.level_from_variances(signal.variances, shot.variances)
     center_hz = cfg.analysis.mask_center_ghz * 1e9
@@ -328,7 +285,6 @@ def cmd_analyze(args) -> int:
 
     print(f"level: {level_db:+.2f} dB +/- {err_db:.2f} dB "
           f"(plateau mean {plateau.mean():+.2f} dB)")
-    return EXIT_OK
 
 
 def _read_levels_csv(path) -> list[tuple[float, float, int]]:
@@ -359,7 +315,7 @@ def _read_levels_csv(path) -> list[tuple[float, float, int]]:
     return points
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args, out: Path) -> None:
     points = _read_levels_csv(args.levels_csv)
     result = ana.fit_pump_curve(points)
     report = {
@@ -376,20 +332,15 @@ def cmd_fit(args) -> int:
     for field, value in report.items():
         if value is not None and not np.isfinite(value).all():
             raise ArithmeticError(f"fit result {field} is not finite; fit.json not written")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     traceio.write_json(out / "fit.json", report)
     floor = report["squeezing_floor_db"]
     floor_txt = f"{floor:.2f} dB floor" if floor is not None else "lossless"
     print(f"loss fraction L = {result.big_l:.4f} ({floor_txt}), "
           f"a = {result.a_coeff:.4f} /W")
-    return EXIT_OK
 
 
-def cmd_sweep_loss(args) -> int:
+def cmd_sweep_loss(args, out: Path) -> None:
     cfg = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     given = {k: v for k, v in vars(args).items()
              if k in ("added_loss_grid", "gains_db", "mc_frames")}
     rows = ana.loss_sweep(cfg.chain, monte_carlo=args.monte_carlo,
@@ -401,12 +352,9 @@ def cmd_sweep_loss(args) -> int:
           "" if row.squeezing_db_mc is None else f"{row.squeezing_db_mc:.6f}"]
          for row in rows))
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
-    return EXIT_OK
 
 
-def cmd_plan_wdm(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_plan_wdm(args, out: Path) -> None:
     given = vars(args)
     plan = wdm.plan_bands(grid_aligned=args.grid_aligned, **{
         name: given[name] * unit for _, name, unit in PLAN_FLAGS if name in given})
@@ -419,7 +367,6 @@ def cmd_plan_wdm(args) -> int:
               f"{plan.usable_clock_hz / 1e9:.0f} GHz per pair")
     else:
         print(f"empty plan: {plan.diagnostic}")
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -455,21 +402,24 @@ def main(argv=None) -> int:
     # numpy.random imports secrets, hmac and so _hashlib, which maps OpenSSL's
     # libcrypto (3.4 MB RSS). Hidden, hashlib uses CPython's built-in digests.
     sys.modules.setdefault("_hashlib", None)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    made_out = not os.path.lexists(args.out)
+    args = build_parser().parse_args(argv)
+    out = Path(args.out)
+    made = [path for path in (out, *out.parents) if not os.path.lexists(path)]
     # Only the main thread may set handlers; a signal ignored (nohup) stays so.
     main_thread = threading.current_thread() is threading.main_thread()
     handlers = {sig: signal.signal(sig, _raise_signalled)
                 for sig in (signal.SIGINT, signal.SIGTERM, signal.SIGHUP)
                 if main_thread and signal.getsignal(sig) != signal.SIG_IGN}
     try:
-        return _COMMANDS[args.command](args)
+        out.mkdir(parents=True, exist_ok=True)
+        _COMMANDS[args.command](args, out)
+        made = []       # the command has succeeded: keep what it made
+        return EXIT_OK
     except _Signalled as err:
         message, code = f"interrupted by {signal.Signals(err.args[0]).name}", 128 + err.args[0]
-    except (ConfigError, traceio.TraceFormatError, ValueError) as err:
+    except ValueError as err:
         message, code = f"error: {err}", EXIT_USAGE
-    except (FitConvergenceError, FloatingPointError, ArithmeticError) as err:
+    except (FitConvergenceError, ArithmeticError) as err:
         message, code = f"numeric failure: {err}", EXIT_NUMERIC
     except OSError as err:
         message, code = f"I/O error: {err}", EXIT_IO
@@ -478,12 +428,12 @@ def main(argv=None) -> int:
     finally:
         for sig, handler in handlers.items():
             signal.signal(sig, handler)
+        # A failed command leaves none of the directories made for --out,
+        # deepest first; rmdir removes each only while it is empty.
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
     print(message, file=sys.stderr)
-    if made_out:
-        # A failed command leaves no output directory it made; rmdir removes
-        # it only while it is empty.
-        with contextlib.suppress(OSError):
-            os.rmdir(args.out)
     return code
 
 

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opahd import analysis as ana
-from opahd import signal_chain, traceio, wdm
+from opahd import cli, signal_chain, traceio, wdm
 from opahd.cli import main
 from opahd.config import AnalysisOptions, ConfigError, ExperimentConfig
 from opahd.gaussian import ChainModel, loss, phase, psa, pump_curve, squeeze
@@ -252,12 +252,10 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "seed must be a non-negative integer, got -5" in err
         assert "Traceback" not in err
-        with pytest.raises(SystemExit) as stop:
-            run("--config", config_path, "--seed", -1, "--out", tmp_path / "flag", *command)
-        assert stop.value.code == 2
+        assert run("--config", config_path, "--seed", -1, "--out", tmp_path / "flag",
+                   *command) == 2
         err = capsys.readouterr().err
-        assert "argument --seed: seed must be a non-negative integer, got '-1'" in err
-        assert "Traceback" not in err
+        assert err == "error: seed must be a non-negative integer, got -1\n"
         assert not (tmp_path / "config").exists() and not (tmp_path / "flag").exists()
 
     @pytest.mark.parametrize("duration_ns", [1e19, 1e-9, math.inf, math.nan])
@@ -272,7 +270,7 @@ class TestSimulate:
         assert "Traceback" not in err
         if math.isfinite(duration_ns):
             assert "record_duration gives a sample interval of" in err
-        else:   # rejected at load, before the output directory is made
+        else:   # rejected at load
             assert "record_duration must be finite and positive" in err
         assert not out.exists()
 
@@ -491,6 +489,19 @@ def test_golden_sha256_serial_and_concurrent(tmp_path, monkeypatch, cpus, min_sa
     assert {name: len(ids) for name, ids in idents.items()} == threads
 
 
+@pytest.mark.parametrize("samples_per_frame, frames, threaded", [
+    (12512, 2, True), (1024, 17, True),
+    (12512, 1, False), (1024, 16, False), (1023, 10 ** 4, False),
+])
+def test_two_threads_when_a_stream_holds_more_than_one_chunk(monkeypatch, samples_per_frame,
+                                                             frames, threaded):
+    """On two CPUs, frames of at least THREADED_MIN_SAMPLES samples thread once
+    a stream holds more than one chunk of frame_rows frames: 12512-sample
+    frames take one a chunk, 1024-sample frames 16."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert cli._two_threads(samples_per_frame, frames) is threaded
+
+
 # Each command's per-frame arrays, refused by numpy at these sizes: simulate's
 # variances at 2**32 - 1 frames (32 GiB), and the sweep's at 1e11 frames per
 # seed. The allocating function is patched, so no test asks for the memory.
@@ -597,7 +608,7 @@ def test_signal_leaves_no_partial_output(tmp_path, threaded, slow, sig):
                        samples_per_frame=1024, frames=1600)    # 100 chunks a stream
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(SMALL_CONFIG, seed=0, acquisition=acquisition)))
-    out = tmp_path / "out"
+    out = tmp_path / "a" / "b" / "out"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     child = subprocess.Popen(
         [sys.executable, "-c", SLOWED_CHILD, threaded, slow, "--config", path, "--out", out,
@@ -624,7 +635,59 @@ def test_signal_leaves_no_partial_output(tmp_path, threaded, slow, sig):
     if slow == "1":
         assert [p.name for p in out.iterdir()] == ["signal.trace"]
     else:
-        assert not out.exists()
+        assert not (tmp_path / "a").exists()
+
+
+# Each command failing with --out <tmp>/a/b/c, as (config, argv, exit code):
+# simulate after --out is made, on a sample interval the trace header cannot
+# hold, and the rest before any output is written.
+NESTED_FAILURES = {
+    "simulate-past-the-header": (
+        dict(SMALL_CONFIG, acquisition=dict(SMALL_CONFIG["acquisition"],
+                                            record_duration_ns=1e19)), ["simulate"], 2),
+    "simulate-bad-config": (dict(SMALL_CONFIG, sed=5), ["simulate"], 2),
+    "sweep-loss-bad-config": (dict(SMALL_CONFIG, sed=5), ["sweep-loss", "--monte-carlo"], 2),
+    "analyze-missing-trace": (SMALL_CONFIG, ["analyze", "missing.trace", "missing.trace"], 4),
+    "fit-two-rows": (SMALL_CONFIG, ["fit", "levels.csv"], 2),
+    "plan-wdm-zero-width": (SMALL_CONFIG, ["plan-wdm", "--width-ghz", "0"], 2),
+}
+
+
+@pytest.mark.parametrize("a_exists", [False, True], ids=["new-a", "existing-a"])
+@pytest.mark.parametrize("case", NESTED_FAILURES)
+def test_failure_removes_every_directory_made_for_out(tmp_path, monkeypatch, capsys, case,
+                                                      a_exists):
+    """A failing command removes --out and every parent that main made for
+    it, but never a directory that existed before the run."""
+    raw, argv, code = NESTED_FAILURES[case]
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(raw))
+    Path("levels.csv").write_text("pump_mw,level_db,branch\n100,-3.2,-1\n300,11.5,1\n")
+    if a_exists:
+        Path("a").mkdir()
+    assert run("--config", "config.json", "--out", tmp_path / "a" / "b" / "c", *argv) == code
+    assert capsys.readouterr().err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["config.json", "levels.csv"] + ["a"] * a_exists)
+    assert not a_exists or not any(Path("a").iterdir())
+
+
+def test_nested_out_is_made_and_kept(tmp_path, config_path):
+    out = tmp_path / "a" / "b" / "c"
+    assert run("--config", config_path, "--out", out, "simulate") == 0
+    assert sorted(p.name for p in out.iterdir()) == ["shot.trace", "signal.trace",
+                                                     "summary.json"]
+
+
+def test_out_naming_a_file_exit_4_before_the_inputs_are_read(tmp_path, capsys):
+    """--out is made before the command runs, so a file in its place fails
+    before fit reads its CSV, which does not exist here."""
+    out = tmp_path / "out"
+    out.write_text("a file")
+    assert run("--out", out, "fit", tmp_path / "missing.csv") == 4
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and str(out) in err and "missing.csv" not in err
+    assert out.read_text() == "a file"
 
 
 class TestAnalyze:
@@ -666,6 +729,30 @@ class TestAnalyze:
         assert run("--config", config_path, "--out", tmp_path,
                    "analyze", bad, bad) == 2
 
+
+    @pytest.mark.parametrize("shot_acquisition", [
+        {"samples_per_frame": 256}, {"record_duration_ns": 6.4},
+    ], ids=["samples", "duration"])
+    def test_mismatched_pair_exit_2_before_reading_a_frame(self, tmp_path, config_path,
+                                                           capsys, monkeypatch,
+                                                           shot_acquisition):
+        assert run("--config", config_path, "--out", tmp_path / "sig", "simulate") == 0
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(dict(SMALL_CONFIG, acquisition=dict(
+            SMALL_CONFIG["acquisition"], **shot_acquisition))))
+        assert run("--config", other, "--out", tmp_path / "shot", "simulate") == 0
+        capsys.readouterr()
+        read = []
+        monkeypatch.setattr(traceio.TraceReader, "chunks", lambda self: read.append(self))
+        signal_path = tmp_path / "sig" / "signal.trace"
+        shot_path = tmp_path / "shot" / "shot.trace"
+        out = tmp_path / "out"
+        assert run("--config", config_path, "--out", out, "analyze",
+                   signal_path, shot_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(signal_path) in err and str(shot_path) in err
+        assert not out.exists() and read == []
 
     def test_mask_over_the_whole_plateau_exit_2_before_any_output(self, tmp_path,
                                                                  config_path, capsys):
