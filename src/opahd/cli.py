@@ -38,13 +38,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-ENV_PREFIX = "OPAHD_"
-
-
-def _env_default(name: str, fallback=None):
-    return os.environ.get(ENV_PREFIX + name, fallback)
-
-
 # plan-wdm's flags as (flag, plan_bands argument, the flag's unit in Hz).
 PLAN_FLAGS = (("--carrier-thz", "carrier_f", 1e12),
               ("--spacing-ghz", "channel_spacing", 1e9),
@@ -66,12 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="opahd",
         description="Simulator and analysis toolkit for OPA-assisted broadband "
                     "homodyne measurement of squeezed light.")
-    parser.add_argument("--config", default=_env_default("CONFIG"),
-                        help="experiment config JSON (default: built-in defaults)")
-    parser.add_argument("--seed", type=int, default=_env_default("SEED"),
-                        help="master seed override (a non-negative integer)")
-    parser.add_argument("--out", default=_env_default("OUT", "."),
-                        help="output directory")
+    parser.add_argument("--config", help="experiment config JSON (default: built-in defaults)")
+    parser.add_argument("--seed", type=int, help="master seed override (a non-negative integer)")
+    parser.add_argument("--out", default=".", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("simulate", help="synthesize signal and shot-noise trace files")

@@ -312,11 +312,17 @@ def _frame_states(master_seed: int, first_frame: int, count: int):
 def _synthesis_sigma(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,
                      theta: float) -> np.ndarray:
     """Per-bin amplitude σ(f) of the 2n-sample synthesis spectrum
-    (Timmer & König, A&A 300, 707 (1995))."""
+    (Timmer & König, A&A 300, 707 (1995)); a σ past float range is refused."""
     fs = acq.sample_rate
     n2 = 2 * acq.samples_per_frame
-    s2 = _one_sided_model(chain, resp, acq, theta, np.fft.rfftfreq(n2, 1.0 / fs))
-    return np.sqrt(s2 * fs * n2 / 2.0)
+    try:
+        with np.errstate(over="raise"):
+            s2 = _one_sided_model(chain, resp, acq, theta, np.fft.rfftfreq(n2, 1.0 / fs))
+            return np.sqrt(s2 * fs * n2 / 2.0)
+    # OverflowError comes from the float power in _electrical_floor.
+    except (FloatingPointError, OverflowError):
+        raise ValueError("the synthesis amplitude overflows: lower photocurrent_ma "
+                         "or raise clearance_at_43ghz_db") from None
 
 
 def synthesize_frame(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionConfig,

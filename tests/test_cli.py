@@ -93,6 +93,16 @@ class TestSimulate:
         assert (out1 / "signal.trace").read_bytes() == (out2 / "signal.trace").read_bytes()
         assert (out1 / "shot.trace").read_bytes() == (out2 / "shot.trace").read_bytes()
 
+    def test_integral_float_counts_give_the_same_bytes(self, tmp_path, config_path):
+        acquisition = dict(SMALL_CONFIG["acquisition"], samples_per_frame=512.0, frames=8.0)
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, acquisition=acquisition)))
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run("--config", config_path, "--out", out1, "simulate") == 0
+        assert run("--config", path, "--out", out2, "simulate") == 0
+        for name in ("signal.trace", "shot.trace", "summary.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_seed_flag_changes_output(self, tmp_path, config_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run("--config", config_path, "--out", out1, "simulate")
@@ -213,6 +223,7 @@ class TestSimulate:
         ({"response": {"detector_f3db": 43e9}}, "response has no key 'detector_f3db'"),
         ({"chain": {"stages": [{"kind": "loss", "eta": 0.5, "gain_db": 35.0}]}},
          "loss channel takes exactly the parameters ['eta'], got ['eta', 'gain_db']"),
+        ({"schema_version": 2}, "unsupported schema_version 2"),
     ], ids=["stages-string", "stages-object", "stage-list", "chain-string",
             "acquisition-string", "window", "bins-fraction", "bins-string", "mask-nan",
             "mask-inf", "samples-2**32", "samples-fraction", "frames-fraction",
@@ -220,7 +231,7 @@ class TestSimulate:
             "seed-inf", "photocurrent-bool", "duration-string", "lo-phase-string",
             "clearance-bool", "eta-string", "eta-bool", "mask-bool", "unknown-top-key",
             "unknown-chain-key", "unknown-acquisition-key", "unknown-response-key",
-            "unknown-stage-parameter"])
+            "unknown-stage-parameter", "schema-version-2"])
     def test_malformed_config_exit_2(self, tmp_path, capsys, section, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({**SMALL_CONFIG, **section}))
@@ -310,6 +321,30 @@ class TestSimulate:
         assert run("--config", path, "--out", out, "sweep-loss", "--monte-carlo",
                    "--mc-frames", "4") == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("key, value, code", [
+        ("clearance_at_43ghz_db", -3060, 2), ("clearance_at_43ghz_db", -4000, 2),
+        ("photocurrent_ma", 1e308, 2), ("clearance_at_43ghz_db", -3000, 0),
+        ("photocurrent_ma", 1e300, 0)])
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["sweep-loss", "--monte-carlo", "--mc-frames", "4"]],
+        ids=["simulate", "sweep-loss"])
+    def test_overflowing_synthesis_amplitude_exit_2(self, tmp_path, capsys, command, key,
+                                                    value, code):
+        """A σ(f) past float range is refused where it is formed, with one line
+        and no numpy warning; a σ just inside the range still runs."""
+        acquisition = dict(SMALL_CONFIG["acquisition"], **{key: value})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, acquisition=acquisition)))
+        out = tmp_path / "out"
+        assert run("--config", path, "--out", out, *command) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == ("error: the synthesis amplitude overflows: lower photocurrent_ma "
+                           "or raise clearance_at_43ghz_db\n")
+            assert not out.exists()
+        else:
+            assert err == ""
 
     def test_failure_partway_leaves_no_partial_trace(self, tmp_path, config_path,
                                                      monkeypatch):
@@ -1232,6 +1267,16 @@ class TestSweepLoss:
         assert run("--config", config_path, "--out", tmp_path, "sweep-loss",
                    "--added-loss", "0,1.0") == 2
 
+    def test_chain_without_loss_after_the_psa_exit_2(self, tmp_path, capsys):
+        stages = [{"kind": "loss", "eta": 0.5},
+                  {"kind": "psa", "gain_db": 35.0, "eta_opa": 0.79}]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(SMALL_CONFIG, chain={"stages": stages})))
+        assert run("--config", path, "--out", tmp_path / "out", "sweep-loss") == 2
+        assert capsys.readouterr().err == (
+            "error: sweep chain must contain a loss stage after the psa\n")
+        assert not (tmp_path / "out").exists()
+
     def test_omitted_flags_keep_the_library_defaults(self, tmp_path, config_path,
                                                      monkeypatch):
         calls = []
@@ -1420,17 +1465,17 @@ class TestConfigRoundTrip:
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
-class TestEnvOverrides:
-    def test_env_seed_and_out(self, tmp_path, config_path, monkeypatch):
-        out = tmp_path / "env_out"
-        monkeypatch.setenv("OPAHD_OUT", str(out))
-        monkeypatch.setenv("OPAHD_CONFIG", str(config_path))
-        assert run("simulate") == 0
-        assert (out / "signal.trace").exists()
-
-    def test_cli_beats_env(self, tmp_path, config_path, monkeypatch):
-        monkeypatch.setenv("OPAHD_OUT", str(tmp_path / "ignored"))
-        out = tmp_path / "explicit"
-        assert run("--config", config_path, "--out", out, "simulate") == 0
-        assert (out / "signal.trace").exists()
-        assert not (tmp_path / "ignored").exists()
+def test_environment_sets_no_flag(tmp_path, config_path, monkeypatch):
+    """Only the flags set --config, --seed and --out: variables named after
+    them change no byte and make no directory."""
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(dict(SMALL_CONFIG, seed=5)))
+    assert run("--config", config_path, "--out", tmp_path / "plain", "simulate") == 0
+    monkeypatch.setenv("OPAHD_OUT", str(tmp_path / "env_out"))
+    monkeypatch.setenv("OPAHD_CONFIG", str(other))
+    monkeypatch.setenv("OPAHD_SEED", "9")
+    assert run("--config", config_path, "--out", tmp_path / "env", "simulate") == 0
+    for name in ("signal.trace", "shot.trace", "summary.json"):
+        assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "env", "other.json", "plain"]

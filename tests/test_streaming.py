@@ -370,6 +370,20 @@ def test_header_that_gives_no_acquisition_names_the_file(tmp_path, n, frames, in
         traceio.TraceReader(path)
 
 
+def test_file_truncated_after_its_header_was_checked(tmp_path):
+    # 1 MiB of samples, cut within the fourth chunk: past what the file
+    # object buffered when the header was read.
+    path = tmp_path / "t.trace"
+    acq = AcquisitionConfig(record_duration=3.2e-9, samples_per_frame=512, frames=256)
+    with traceio.trace_writer(path, acq, 0.0, 256) as write:
+        write(np.zeros((256, 512)))
+    with traceio.TraceReader(path) as reader:
+        os.truncate(path, traceio.HEADER_SIZE + 8 * 512 * 100)
+        with pytest.raises(traceio.TraceFormatError,
+                           match=f"^{re.escape(str(path))}: truncated while reading$"):
+            list(reader.chunks())
+
+
 SWEEP_CHAIN = ChainModel(stages=(squeeze(1.0), psa(35.0, 0.79), loss(0.076)))
 # 512-sample frames with the electrical floor on: 32 rows per synthesis chunk
 # by default, 7 with the small budget; 300 frames is a multiple of neither.

@@ -2,6 +2,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -139,3 +143,15 @@ class TestExport:
         for i, (row, (lo, hi)) in enumerate(zip(rows, plan_bands().pairs)):
             assert row == {"pair_index": str(i), "lower_hz": f"{lo:.6f}",
                            "upper_hz": f"{hi:.6f}", "width_hz": f"{100e9:.6f}"}
+
+
+def test_package_root_and_wdm_load_no_numpy():
+    """The package root holds only __version__, so importing it and the
+    pure-Python wdm module in a fresh interpreter loads no numpy."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    child = subprocess.run(
+        [sys.executable, "-c", "import sys, opahd, opahd.wdm\n"
+         "assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+         "assert isinstance(opahd.__version__, str)"],
+        env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
