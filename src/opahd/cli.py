@@ -30,7 +30,6 @@ import numpy as np
 from . import analysis as ana
 from . import signal_chain, traceio, wdm
 from .config import ConfigError, ExperimentConfig
-from .fitting import FitConvergenceError
 from .signal_chain import model_variance, shared_frame_chunks
 
 EXIT_OK = 0
@@ -409,7 +408,7 @@ def main(argv=None) -> int:
         message, code = f"interrupted by {signal.Signals(err.args[0]).name}", 128 + err.args[0]
     except ValueError as err:
         message, code = f"error: {err}", EXIT_USAGE
-    except (FitConvergenceError, ArithmeticError) as err:
+    except ArithmeticError as err:
         message, code = f"numeric failure: {err}", EXIT_NUMERIC
     except OSError as err:
         message, code = f"I/O error: {err}", EXIT_IO

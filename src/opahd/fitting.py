@@ -1,51 +1,31 @@
-"""Damped Gauss-Newton (Levenberg-Marquardt schedule) least squares.
+"""Damped Gauss-Newton (Levenberg-Marquardt schedule) least squares in two
+parameters.
 
 Small, deterministic, and bound-aware; sized for the two-parameter pump
 curve fit rather than general use.
 
-The model callback takes the parameters as a list of Python floats and
+The model callback takes the two parameters as a list of Python floats and
 returns (r, jac): the (n,) residual vector and a no-argument callable that
-gives the (n, m) Jacobian at the same point. jac is called only at accepted
+gives the (n, 2) Jacobian at the same point. jac is called only at accepted
 iterates, so a rejected trial step costs one residual evaluation. The
 parameters, the gradient test, the damping and the clip into the box are
 Python float arithmetic; JᵀJ, Jᵀr and ||r||² stay numpy reductions, and each
-damped system goes straight to the LAPACK gufunc behind np.linalg.solve.
-Every operation is the IEEE operation the array form performs, so the
-results are the same bits as stepping in numpy arrays.
+damped system is solved, and the covariance inverted, by the public
+np.linalg. Every operation is the IEEE operation the array form performs,
+so the results are the same bits as stepping in numpy arrays.
 """
 from __future__ import annotations
 
 import numpy as np
-from numpy.linalg import LinAlgError, _umath_linalg
 
 
-class FitConvergenceError(RuntimeError):
+class FitConvergenceError(ArithmeticError):
     """Non-convergence diagnostic carrying the last iterate."""
 
     def __init__(self, message: str, last_params: np.ndarray, last_cost: float):
         super().__init__(message)
         self.last_params = last_params
         self.last_cost = last_cost
-
-
-def _raise_singular(err, flag):
-    raise LinAlgError("Singular matrix")
-
-
-# np.linalg.solve and np.linalg.inv without their argument handling: the same
-# gufuncs under the same error state, in which LAPACK's singular flag raises.
-_lapack_errors = np.errstate(call=_raise_singular, invalid="call", over="ignore",
-                             divide="ignore", under="ignore")
-
-
-@_lapack_errors
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _umath_linalg.solve1(a, b, signature="dd->d")
-
-
-@_lapack_errors
-def _inv(a: np.ndarray) -> np.ndarray:
-    return _umath_linalg.inv(a, signature="d->d")
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -56,24 +36,24 @@ def _clip(x: float, lo: float, hi: float) -> float:
 
 
 def levenberg_marquardt(model_fn, p0, bounds, max_iter: int = 200, tol: float = 1e-12):
-    """Minimize ||r(p)||² starting from p0.
+    """Minimize ||r(p)||² over two parameters starting from p0.
 
-    model_fn(p) -> (r, jac): p is a list of m floats, r the (n,) residual
-    vector and jac() the (n, m) Jacobian at p.
-    bounds is a (lower, upper) pair of length-m sequences, not NaN; steps are
-    clipped into the box.
+    model_fn(p) -> (r, jac): p is a list of 2 floats, r the (n,) residual
+    vector and jac() the (n, 2) Jacobian at p.
+    bounds is a (lower, upper) pair of length-2 sequences, not NaN; steps are
+    clipped into the box. A p0 or bound of another length raises ValueError.
 
     Returns (params, cost, covariance, n_iter). Raises FitConvergenceError
     if the damping schedule stalls before meeting tol.
     """
+    p = np.asarray(p0, dtype=float).tolist()
     lo = np.asarray(bounds[0], dtype=float).tolist()
     hi = np.asarray(bounds[1], dtype=float).tolist()
-    p = np.asarray(p0, dtype=float).tolist()
-    m = len(p)
-    if len(lo) != m or len(hi) != m:
-        raise ValueError(f"bounds must hold {m} lower and {m} upper values")
-    p = [_clip(x, l, h) for x, l, h in zip(p, lo, hi)]
-    r, jac_at = model_fn(p)
+    if len(p) != 2 or len(lo) != 2 or len(hi) != 2:
+        raise ValueError("p0 must hold 2 values, and bounds 2 lower and 2 upper values")
+    (x, y), (x_lo, y_lo), (x_hi, y_hi) = p, lo, hi
+    x, y = _clip(x, x_lo, x_hi), _clip(y, y_lo, y_hi)
+    r, jac_at = model_fn([x, y])
     cost = float(r.dot(r))
     lam = 1e-3
     converged = False
@@ -86,29 +66,29 @@ def levenberg_marquardt(model_fn, p0, bounds, max_iter: int = 200, tol: float = 
         jtj = jac_t.dot(jac_t.T)
         jtr = jac_t.dot(r)
         threshold = tol * (1.0 + cost)
-        if all(abs(g) < threshold for g in jtr.tolist()):
+        g_x, g_y = jtr.tolist()
+        if abs(g_x) < threshold and abs(g_y) < threshold:
             converged = True
             break
-        flat = jtj.ravel().tolist()
-        # diag(JᵀJ) + 1e-30 on the diagonal, 0.0 elsewhere: lam · 0.0 is
-        # added off the diagonal as the array form adds it.
-        damping = [0.0] * (m * m)
-        damping[::m + 1] = [x + 1e-30 for x in flat[::m + 1]]
+        (a_xx, a_xy), (a_yx, a_yy) = jtj.tolist()
+        d_x, d_y = a_xx + 1e-30, a_yy + 1e-30
         neg_jtr = -jtr
         stepped = False
         for _ in range(60):
-            a = np.array([x + lam * d for x, d in zip(flat, damping)]).reshape(m, m)
+            # lam · 0.0 is added off the diagonal as the array form adds it.
+            off = lam * 0.0
+            a = np.array([[a_xx + lam * d_x, a_xy + off], [a_yx + off, a_yy + lam * d_y]])
             try:
-                step = _solve(a, neg_jtr).tolist()
-            except LinAlgError:
+                s_x, s_y = np.linalg.solve(a, neg_jtr).tolist()
+            except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            p_new = [_clip(x + s, l, h) for x, s, l, h in zip(p, step, lo, hi)]
-            r_new, jac_new = model_fn(p_new)
+            x_new, y_new = _clip(x + s_x, x_lo, x_hi), _clip(y + s_y, y_lo, y_hi)
+            r_new, jac_new = model_fn([x_new, y_new])
             cost_new = float(r_new.dot(r_new))
             if cost_new <= cost:
                 rel_drop = (cost - cost_new) / max(cost, 1e-300)
-                p, r, jac_at, cost = p_new, r_new, jac_new, cost_new
+                x, y, r, jac_at, cost = x_new, y_new, r_new, jac_new, cost_new
                 jtj = None
                 lam = max(lam / 10.0, 1e-14)
                 stepped = True
@@ -123,14 +103,14 @@ def levenberg_marquardt(model_fn, p0, bounds, max_iter: int = 200, tol: float = 
             break
     if not converged:
         raise FitConvergenceError(
-            f"no convergence after {max_iter} iterations (cost={cost:.3e})", np.array(p), cost)
+            f"no convergence after {max_iter} iterations (cost={cost:.3e})", np.array([x, y]), cost)
 
     if jtj is None:
         jac_t = jac_at().T
         jtj = jac_t.dot(jac_t.T)
-    dof = max(len(r) - m, 1)
+    dof = max(len(r) - 2, 1)
     try:
-        cov = _inv(jtj) * (cost / dof)
-    except LinAlgError:
-        cov = np.full((m, m), np.nan)
-    return np.array(p), cost, cov, min(n_iter, max_iter)
+        cov = np.linalg.inv(jtj) * (cost / dof)
+    except np.linalg.LinAlgError:
+        cov = np.full((2, 2), np.nan)
+    return np.array([x, y]), cost, cov, min(n_iter, max_iter)

@@ -28,6 +28,7 @@ from opahd import analysis as ana
 from opahd import cli, signal_chain, traceio, wdm
 from opahd.cli import main
 from opahd.config import AnalysisOptions, ConfigError, ExperimentConfig
+from opahd.fitting import FitConvergenceError
 from opahd.gaussian import ChainModel, loss, phase, psa, pump_curve, squeeze
 from opahd.signal_chain import AcquisitionConfig, FrequencyResponse, shared_frame_chunks
 from opahd.traceio import write_json
@@ -1023,6 +1024,19 @@ class TestFit:
         path.write_text("pump_mw,level_db,branch\n0,0,-1\n0,0,1\n1e-297,0,-1\n")
         assert run("--out", tmp_path / "out", "fit", path) == 3
         assert "fit result covariance is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_nonconvergence_exit_3(self, tmp_path, capsys, monkeypatch):
+        # FitConvergenceError is an ArithmeticError, which main reports as a
+        # numeric failure.
+        def stalls(points):
+            raise FitConvergenceError("no convergence after 200 iterations", np.zeros(2), 1.0)
+
+        monkeypatch.setattr(ana, "fit_pump_curve", stalls)
+        path = tmp_path / "levels.csv"
+        path.write_text("pump_mw,level_db,branch\n100,-3.2,-1\n300,-4.6,-1\n300,11.5,1\n")
+        assert run("--out", tmp_path / "out", "fit", path) == 3
+        assert capsys.readouterr().err == "numeric failure: no convergence after 200 iterations\n"
         assert not (tmp_path / "out").exists()
 
 
