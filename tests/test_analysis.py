@@ -427,8 +427,13 @@ class TestLevenbergMarquardt:
             with pytest.raises(ValueError, match="p0 must hold 2 values, and bounds 2 lower"):
                 levenberg_marquardt(decay_model, p0, bounds)
 
-    # (model, p0, bounds, the bound each parameter ends on: "lo", "hi" or None)
+    # (model, p0, bounds, the bound each parameter ends on: "lo", "hi" or None).
+    # In the 1p_* cases a zero-width box pins the amplitude at 2, so the rate
+    # is the one free parameter, against the data decay_rate_model fits.
     BOXED = {
+        "1p_lower_active": (decay_model, [2.0, 2.0], ([2.0, 1.0], [2.0, 5.0]), ["lo", "lo"]),
+        "1p_upper_active": (decay_model, [2.0, 0.2], ([2.0, 0.0], [2.0, 0.5]), ["lo", "hi"]),
+        "1p_p0_outside": (decay_model, [2.0, 10.0], ([2.0, 0.0], [2.0, 3.0]), ["lo", None]),
         "2p_lower_active": (decay_model, [3.0, 1.0], ([2.5, 0.0], [10.0, 5.0]), ["lo", None]),
         "2p_upper_active": (decay_model, [1.0, 0.2], ([0.0, 0.0], [10.0, 0.5]), [None, "hi"]),
         "2p_p0_outside": (decay_model, [-1.0, 9.0], ([0.0, 0.0], [5.0, 3.0]), [None, None]),
