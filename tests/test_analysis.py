@@ -368,6 +368,16 @@ class TestFitPumpCurve:
         assert tuple(float(x).hex() for x in res.covariance.ravel()) == cov
         assert (float(res.cost).hex(), res.n_iter) == (cost, n_iter)
 
+    def test_pinned_without_numpy_linalg(self, monkeypatch):
+        # The fit solves and inverts its 2 × 2 systems itself.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit called numpy.linalg")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        for name in sorted(self.PINNED):
+            self.test_results_pinned_bit_for_bit(name)
+
 
 def _eager(model_fn):
     """model_fn with its Jacobian built at every point, as _reference_lm takes it."""
@@ -480,23 +490,24 @@ class TestLevenbergMarquardt:
     @pytest.mark.parametrize("failures", [1, 3, 60])
     def test_singular_damped_solves_like_reference(self, monkeypatch, failures):
         # Each singular solve multiplies the damping by 10 and tries again; 60
-        # in a row end the fit at p0.
-        def failing_first(solve):
+        # in a row end the fit at p0. The singular branch reaches the fit
+        # through _solve2 and the reference through np.linalg.solve.
+        def failing_first(solve, singular):
             calls = [0]
 
             def patched(*args):
                 calls[0] += 1
                 if calls[0] <= failures:
-                    raise np.linalg.LinAlgError("Singular matrix")
+                    raise singular("Singular matrix")
                 return solve(*args)
             return patched
 
         bounds = ([0.0, 0.0], [10.0, 5.0])
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "solve", failing_first(np.linalg.solve))
+            patch.setattr(np.linalg, "solve", failing_first(np.linalg.solve, np.linalg.LinAlgError))
             expected = _reference_lm(_eager(decay_model), np.array([1.0, 0.2]), bounds)
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "solve", failing_first(np.linalg.solve))
+            patch.setattr(fitting, "_solve2", failing_first(fitting._solve2, ZeroDivisionError))
             got = levenberg_marquardt(decay_model, [1.0, 0.2], bounds)
         assert _lm_hex(got) == _lm_hex(expected)
         assert (got[0].tolist() == [1.0, 0.2] and got[3] == 1) == (failures == 60)
