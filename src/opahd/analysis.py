@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import signal_chain
-from .fitting import FitConvergenceError, levenberg_marquardt
+from .fitting import fit_profile
 from .gaussian import ChainModel, ChannelSpec, relative_quadrature_power
 # synthesize_frames stays importable from here beside the whole-ensemble API.
 from .signal_chain import (AcquisitionConfig, Ensemble, FrequencyResponse,  # noqa: F401
@@ -316,7 +316,8 @@ def _screen_margin(first: float, last: float, width: float, bins: int) -> float:
 
 @dataclass(frozen=True)
 class SqueezeFitResult:
-    """Pump-curve fit output: loss fraction, gain coefficient, diagnostics."""
+    """Pump-curve fit output: loss fraction, gain coefficient, diagnostics.
+    n_iter counts the fit's profile evaluations."""
 
     big_l: float
     a_coeff: float
@@ -327,33 +328,13 @@ class SqueezeFitResult:
     n_iter: int
 
 
-def _pump_model(pump_w: np.ndarray, two_sign: np.ndarray, weights: np.ndarray,
-                signed_weights: np.ndarray, big_l: float, a_coeff: float):
-    """R±(P) at each point, and a callable giving the C-contiguous (n, 2)
-    Jacobian in (L, a) with row i scaled by weights[i]. For pump_w ≥ 0 and
-    a_coeff > 0; two_sign is 2 · sign and signed_weights is sign · weights,
-    with sign ±1 per point."""
-    e = np.exp(two_sign * np.sqrt(a_coeff * pump_w))
-    gain = (1.0 - big_l) * e
-
-    def jacobian() -> np.ndarray:
-        # gain · sqrt(P/a) · (sign · w) is (gain · sign) · sqrt(P/a) · w
-        # exactly, since a factor of ±1 only sets the sign.
-        jac = np.empty((len(e), 2))
-        np.multiply(1.0 - e, weights, out=jac[:, 0])
-        np.multiply(gain * np.sqrt(pump_w / a_coeff), signed_weights, out=jac[:, 1])
-        return jac
-
-    return big_l + gain, jacobian
-
-
 def fit_pump_curve(points: list[tuple[float, float, int]]) -> SqueezeFitResult:
     """Weighted nonlinear least squares of R±(P) = L + (1−L)exp(±2√(aP)).
 
     points are (pump_w, level_rel, branch) with pump_w ≥ 0 and branch +1 for
     anti-squeezing and −1 for squeezing. Residuals are weighted by 1/level,
-    i.e. constant variance on the dB scale. Deterministic multi-start
-    initialization.
+    i.e. constant variance on the dB scale. The fit is fitting.fit_profile:
+    L in closed form for each a, and a 1-D search in ln a.
     """
     if len(points) < 3:
         raise ValueError("need at least three points")
@@ -373,77 +354,23 @@ def fit_pump_curve(points: list[tuple[float, float, int]]) -> SqueezeFitResult:
         raise ValueError("branch must be +1 or -1")
     if lowest == pump.max():
         raise ValueError("points must span at least two pump powers")
-    # -0.0 becomes 0.0, so that √(P/a) is +0.0 at zero pump.
+    # -0.0 becomes 0.0, so that √(aP) is +0.0 at zero pump.
     pump = np.where(pump > 0, pump, 0.0)
-    two_sign = sign * 2.0
-    weights = 1.0 / level
-    signed_weights = sign * weights
-
-    def weighted_model(p):
-        model, jac = _pump_model(pump, two_sign, weights, signed_weights, *p)
-        return (model - level) * weights, jac
-
-    bounds = ([0.0, 1e-12], [1.0 - 1e-9, math.inf])
-    refs = _highest_pump_points(pump, level, sign)
-    best = None
-    last_error: FitConvergenceError | None = None
-    # A trial step that sends a far out overflows exp and ||r||²; its cost is
-    # inf and the step is rejected, so the warning would report nothing. At
-    # an absurd pump (kilowatts) the result itself overflows, or its Jacobian
-    # holds 0 · inf; the caller reports a result that is not finite.
+    # Grid points and outward steps at a huge a overflow exp, and their cost
+    # is inf or NaN, so the warning would report nothing. At an absurd pump
+    # (kilowatts) the result itself overflows; the caller reports a result
+    # that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
-        for l0 in (0.05, 0.3, 0.6):
-            for a0 in _initial_gain_coefficients(refs, l0):
-                try:
-                    p, cost, cov, n_iter = levenberg_marquardt(weighted_model, [l0, a0], bounds)
-                except FitConvergenceError as err:
-                    last_error = err
-                    continue
-                if best is None or cost < best[1]:
-                    best = (p, cost, cov, n_iter)
-        if best is None:
-            assert last_error is not None
-            raise last_error
-        p, cost, cov, n_iter = best
-        model, _ = _pump_model(pump, two_sign, weights, signed_weights, *p.tolist())
-    resid = model - level
+        big_l, a_coeff, cov, resid, cost, n_iter = fit_profile(pump, level, sign)
     return SqueezeFitResult(
-        big_l=float(p[0]),
-        a_coeff=float(p[1]),
+        big_l=big_l,
+        a_coeff=a_coeff,
         covariance=cov,
         residuals_squeeze=resid[sign < 0],
         residuals_antisqueeze=resid[sign > 0],
         cost=cost,
         n_iter=n_iter,
     )
-
-
-def _highest_pump_points(pump, level, sign) -> list[tuple[float, float]]:
-    """(pump, level) at each branch's highest nonzero pump power, anti-squeezing
-    first; the first such point where the highest power repeats."""
-    refs = []
-    for branch in (1.0, -1.0):
-        branch_pump = np.where(sign == branch, pump, 0.0)
-        i = int(branch_pump.argmax())
-        if branch_pump[i] > 0:
-            refs.append((float(pump[i]), float(level[i])))
-    return refs
-
-
-def _initial_gain_coefficients(refs, l0) -> list[float]:
-    """Gain-coefficient starting values from a log-linearization of each
-    branch's highest-pump point (see _highest_pump_points)."""
-    guesses = []
-    for p_ref, y_ref in refs:
-        inner = (y_ref - l0) / (1.0 - l0)
-        if inner <= 0:
-            continue
-        root = abs(math.log(inner)) / 2.0
-        if root > 0:
-            guesses.append(root ** 2 / p_ref)
-    if not guesses:
-        guesses = [1.0]
-    return guesses
 
 
 @dataclass(frozen=True)

@@ -1004,9 +1004,10 @@ class TestFit:
         assert not (tmp_path / "out").exists()
 
     def test_overflowing_trial_steps_leave_stderr_empty(self, tmp_path):
-        # The multi-starts on this anti-squeezing curve try steps that send a
-        # far out, where exp and ||r||² overflow; those steps are rejected and
-        # the fit succeeds, so the run must not print numpy's overflow warnings.
+        # A fit of this anti-squeezing curve succeeds, so the run must print
+        # none of numpy's warnings. The search's points where exp overflows
+        # are those of test_non_finite_result_exit_3, which runs in-process
+        # with warnings as errors.
         path = tmp_path / "levels.csv"
         path.write_text("pump_mw,level_db,branch\n11,-4.76,1\n158,-0.56,1\n442,5.19,1\n")
         env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
@@ -1019,7 +1020,8 @@ class TestFit:
 
     def test_non_finite_result_exit_3(self, tmp_path, capsys):
         # Two points at zero pump and one at 1e-300 W: JᵀJ is singular, so the
-        # covariance is NaN.
+        # covariance is NaN. The grid for so small a pump reaches a past
+        # float range, where exp overflows.
         path = tmp_path / "levels.csv"
         path.write_text("pump_mw,level_db,branch\n0,0,-1\n0,0,1\n1e-297,0,-1\n")
         assert run("--out", tmp_path / "out", "fit", path) == 3
