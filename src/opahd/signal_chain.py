@@ -7,6 +7,7 @@ Absolute volts are never calibrated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,81 +166,60 @@ def model_variance(chain: ChainModel, resp: FrequencyResponse, acq: AcquisitionC
 
 # numpy.random.SeedSequence's hash (numpy/random/bit_generator.pyx) and PCG64's
 # 128-bit LCG multiplier (O'Neill, HMC-CS-2014-0905). NEP 19 keeps both fixed,
-# so the arithmetic below gives SeedSequence's and PCG64's states bit for bit.
-_MASK32 = 0xFFFFFFFF
-_POOL_WORDS = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# so _seed_sequence and _pcg64_states give SeedSequence's and PCG64's states
+# bit for bit. The hash constants are uint32, as in the C code.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = np.uint32(0x43B0D7E5), np.uint32(0x931E8875)
+_INIT_B, _MULT_B = np.uint32(0x8B51F9DD), np.uint32(0x58F38DED)
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
-# Each step below takes Python ints or uint64 arrays, not both at once. Arrays
-# hold 32-bit words in uint64, so the one dtype's loops serve every step: a
-# product of two words still fits, and "& _MASK32" reduces mod 2**32.
 
+def _seed_sequence(entropy: list, n_words: int) -> np.ndarray:
+    """SeedSequence.mix_entropy, then generate_state(n_words // 2, np.uint64),
+    transcribed line by line from numpy/random/bit_generator.pyx and run on
+    many seed sequences at once: entropy is their assembled entropy, a list of
+    uint32 words and word arrays that broadcast to one length n, and the result
+    is an (n, n_words // 2) uint64 array.
 
-def _hashmix(value, h):
-    """SeedSequence's hashmix of one word: (hashed word, next hash constant)."""
-    value = value ^ h
-    h = (h * _MULT_A) & _MASK32
-    value = (value * h) & _MASK32
-    return value ^ (value >> 16), h
+    Every value is uint32 and wraps mod 2**32, as in the C code. numpy reports
+    that wrap as an overflow for scalars alone, so the report is turned off.
+    """
+    hash_const = _INIT_A
 
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A
+        value = value * hash_const
+        return value ^ (value >> _XSHIFT)
 
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> 16)
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
 
-
-def _absorb(pool: list, h, word) -> tuple[list, int]:
-    """Mix one entropy word past SeedSequence's pool into every pool word."""
-    mixed = []
-    for x in pool:
-        v, h = _hashmix(word, h)
-        mixed.append(_mix(x, v))
-    return mixed, h
-
-
-def _mix_entropy(words: list) -> tuple[list, int]:
-    """SeedSequence.mix_entropy of at least _POOL_WORDS entropy words: (pool,
-    hash constant). SeedSequence hashes a missing word as 0, so shorter entropy
-    gives the same pool padded with zeros."""
-    h = _INIT_A
-    pool = []
-    for word in words[:_POOL_WORDS]:
-        v, h = _hashmix(word, h)
-        pool.append(v)
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    for word in words[_POOL_WORDS:]:
-        pool, h = _absorb(pool, h, word)
-    return pool, h
-
-
-def _generate_state(pool: list, n_words: int):
-    """Yield the n_words 32-bit words of SeedSequence.generate_state(n_words
-    // 2, np.uint64) in turn, each value's low word first."""
-    h = _INIT_B
-    for i in range(n_words):
-        v = pool[i % _POOL_WORDS] ^ h
-        h = (h * _MULT_B) & _MASK32
-        v = (v * h) & _MASK32
-        yield v ^ (v >> 16)
-
-
-def _words(n: int) -> list[int]:
-    """The little-endian 32-bit words SeedSequence makes of a non-negative int."""
-    if n < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {n}")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+    with np.errstate(over="ignore"):
+        # mix_entropy: past the end of a short entropy, the hash runs on 0.
+        mixer = [hashmix(entropy[i] if i < len(entropy) else np.uint32(0))
+                 for i in range(_POOL_SIZE)]
+        for i_src in range(_POOL_SIZE):
+            for i_dst in range(_POOL_SIZE):
+                if i_src != i_dst:
+                    mixer[i_dst] = mix(mixer[i_dst], hashmix(mixer[i_src]))
+        for word in entropy[_POOL_SIZE:]:
+            for i_dst in range(_POOL_SIZE):
+                mixer[i_dst] = mix(mixer[i_dst], hashmix(word))
+        # generate_state
+        hash_const = _INIT_B
+        state = np.empty((len(mixer[0]), n_words), dtype=np.uint32)
+        for i_dst in range(n_words):
+            data_val = mixer[i_dst % _POOL_SIZE] ^ hash_const
+            hash_const = hash_const * _MULT_B
+            data_val = data_val * hash_const
+            state[:, i_dst] = data_val ^ (data_val >> _XSHIFT)
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 def frame_seed(master_seed: int, frame_index):
@@ -247,27 +227,26 @@ def frame_seed(master_seed: int, frame_index):
     an integer array of frame indices (each below 2**64) as a uint64 array.
 
     Equals SeedSequence(master_seed, spawn_key=(frame_index,))
-    .generate_state(2, np.uint64)[0]: the master seed's words are hashed once,
-    then every frame's spawn-key words at once.
+    .generate_state(2, np.uint64)[0], whose entropy is the master seed's
+    32-bit words, low first and padded to four, then the spawn key's: one word
+    below 2**32, else two.
     """
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {master_seed}")
     index = np.asarray(frame_index)
     if index.dtype.kind not in "iu":
         raise TypeError(f"frame indices must be integers, got {index.dtype}")
     if index.dtype.kind == "i" and np.any(index < 0):
         raise ValueError("frame indices must be non-negative")
     index = index.reshape(-1).astype(np.uint64, copy=False)
-    run = _words(int(master_seed))
-    pool, h = _mix_entropy(run + [0] * (_POOL_WORDS - len(run)))
-    pool = [np.full(index.shape, x, dtype=np.uint64) for x in pool]
-    pool, h = _absorb(pool, h, index & _MASK32)
-    high = index >> 32
-    if np.count_nonzero(high):          # a spawn key of two words, low word first
-        two = high != 0
-        mixed, _ = _absorb([x[two] for x in pool], h, high[two])
-        for x, y in zip(pool, mixed):
-            x[two] = y
-    lo, hi = _generate_state(pool, 2)
-    seeds = lo | (hi << 32)
+    n_run = max(_POOL_SIZE, -(-master_seed.bit_length() // 32))
+    run = list(np.frombuffer(master_seed.to_bytes(4 * n_run, "little"), dtype="<u4"))
+    seeds = _seed_sequence(run + [index.astype(np.uint32)], 2)[:, 0]
+    two = np.flatnonzero(index >> 32)   # spawn keys of two words, low word first
+    if len(two):
+        seeds[two] = _seed_sequence(run + [index[two].astype(np.uint32),
+                                           (index[two] >> 32).astype(np.uint32)], 2)[:, 0]
     return int(seeds[0]) if np.ndim(frame_index) == 0 else seeds.reshape(np.shape(frame_index))
 
 
@@ -278,21 +257,16 @@ def _pcg64_states(seeds: np.ndarray):
     initial state and stream and applies pcg_setseq_128_srandom_r. The hashes
     run on the whole array; the 128-bit steps on one row at a time.
     """
-    zero = np.zeros_like(seeds)
-    pool, _ = _mix_entropy([seeds & _MASK32, seeds >> 32, zero, zero])
-    vals = np.empty((len(seeds), 4), dtype=np.uint64)
-    words = _generate_state(pool, 8)
-    for k, (lo, hi) in enumerate(zip(words, words)):
-        vals[:, k] = lo | (hi << 32)
-    del zero, pool, lo, hi          # only vals stays while the rows are yielded
+    vals = _seed_sequence([seeds.astype(np.uint32), (seeds >> 32).astype(np.uint32)], 8)
     for row in vals:
         s_hi, s_lo, seq_hi, seq_lo = row.tolist()
         inc = (((seq_hi << 64 | seq_lo) << 1) | 1) & _MASK128
         yield ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128, inc
 
 
-# Peak bytes per frame of frame_seed and _pcg64_states on a block of frames
-# (145 measured with tracemalloc), so that a block keeps to CHUNK_BYTES.
+# Bytes per frame that frame_seed and _pcg64_states may hold at their peak on
+# a block of frames, so that a block keeps to CHUNK_BYTES. tracemalloc
+# measures 86 on a 1638-frame block, whatever the spawn keys' word counts.
 _SEED_BYTES_PER_FRAME = 160
 
 
@@ -300,6 +274,7 @@ def _frame_states(master_seed: int, first_frame: int, count: int):
     """Yield the (state, inc) of default_rng(frame_seed(master_seed, i)) for
     frames i = first_frame, ..., first_frame + count - 1, deriving the seeds
     one block of chunk_rows(_SEED_BYTES_PER_FRAME, count) frames at a time."""
+    first_frame = operator.index(first_frame)
     if not 0 <= first_frame <= 2 ** 64 - count:
         raise ValueError("frame indices must lie in [0, 2**64)")
     block = chunk_rows(_SEED_BYTES_PER_FRAME, count)

@@ -565,6 +565,11 @@ class TestLossSweep:
         assert rows[0].squeezing_db_mc == pytest.approx(
             rows[0].squeezing_db_oracle, abs=0.3)
 
+    def test_non_integer_master_seed_rejected(self):
+        with pytest.raises(TypeError):
+            loss_sweep(sweep_chain(), [0.0], gains_db=(35.0,), monte_carlo=True,
+                       acq=small_acq(frames=2, n=16), mc_frames=2, master_seed=1.5)
+
     def test_requires_psa_stage(self):
         with pytest.raises(ValueError):
             loss_sweep(ChainModel(stages=(squeeze(1.0), loss(0.5))), [0.0])

@@ -1,8 +1,11 @@
 """Frequency response, trace synthesis statistics, wavepacket extraction."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opahd import signal_chain
 from opahd.gaussian import ChainModel, loss, paper_default_chain, squeeze
@@ -184,6 +187,36 @@ class TestVectorizedSeeding:
         with pytest.raises(ValueError, match="non-negative"):
             frame_seed(1, np.array([3, -1]))
 
+    @pytest.mark.parametrize("master", [1.5, "3"])
+    def test_non_integer_master_seed_rejected(self, master):
+        # as SeedSequence refuses it, rather than taking the seed of 1 or 3
+        with pytest.raises(TypeError):
+            np.random.SeedSequence(master)
+        with pytest.raises(TypeError):
+            frame_seed(master, 0)
+
+    def test_non_integer_first_frame_rejected(self):
+        with pytest.raises(TypeError):
+            synthesize_frames(VACUUM, FrequencyResponse(), small_acq(frames=2, n=16), 0.0,
+                              master_seed=3, first_frame=1.5)
+
+    @pytest.mark.parametrize("master, first", [(7, 0), (2 ** 128 + 1, 2 ** 32 - 800),
+                                               (2 ** 64 + 3, 2 ** 40)])
+    def test_seed_block_keeps_to_its_byte_budget(self, master, first):
+        # one full block of frame_seed and _pcg64_states, its spawn keys all
+        # one word, mixed, or all two words
+        budget = signal_chain._SEED_BYTES_PER_FRAME
+        block = chunk_rows(budget, 2 ** 32)
+        assert block > 1000
+        tracemalloc.start()
+        try:
+            for _ in signal_chain._frame_states(master, first, block):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * block, f"{peak / block:.1f} bytes per frame"
+
     def test_frames_past_two_to_the_32_match_per_frame_reference(self):
         resp, acq = FrequencyResponse(), small_acq(frames=4, n=16, clearance=20.0)
         chain = paper_default_chain()
@@ -217,6 +250,22 @@ class TestVectorizedSeeding:
         for i, row in enumerate(parts.samples):
             ref = synthesize_frame(chain, resp, acq, 0.0, seed=frame_seed(8, 11 + i))
             assert row.tobytes() == ref.samples[0].tobytes()
+
+
+# Master seeds of one to five words; index arrays that mix spawn keys of one
+# word and of two.
+@settings(max_examples=100, deadline=None)
+@given(master=st.integers(0, 2 ** 160 - 1),
+       indices=st.lists(st.integers(0, 2 ** 32 - 1) | st.integers(2 ** 32, 2 ** 64 - 1),
+                        min_size=1, max_size=6))
+def test_seeds_and_states_match_seed_sequence_and_pcg64(master, indices):
+    seeds = frame_seed(master, np.array(indices, dtype=np.uint64))
+    expected = [int(np.random.SeedSequence(master, spawn_key=(i,))
+                    .generate_state(2, np.uint64)[0]) for i in indices]
+    assert seeds.tolist() == expected
+    assert [frame_seed(master, i) for i in indices] == expected
+    for seed, (state, inc) in zip(expected, _pcg64_states(seeds)):
+        assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}
 
 
 class TestEnsemble:
